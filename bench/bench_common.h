@@ -100,8 +100,8 @@ inline void print_run_report() {
 /// criteria track (probe and signature-check rates from the shared recorder).
 /// Committed copies of these files live in the repo root next to
 /// EXPERIMENTS.md so perf changes leave an auditable trail. Host parallelism
-/// (`hardware_concurrency`) and the scheduler mode are recorded so
-/// tools/bench_compare.py can refuse wall-time comparisons across hosts
+/// (`hardware_concurrency`) and the scheduler (always "steal") are recorded
+/// so tools/bench_compare.py can refuse wall-time comparisons across hosts
 /// instead of calling a slower machine a regression.
 /// `extra` (optional) is pre-rendered JSON appended as additional top-level
 /// fields — e.g. a "deterministic" object of seed-pure counters that
@@ -131,15 +131,13 @@ inline void write_bench_json(const std::string& name, size_t threads,
                "  \"signatures_per_s\": %.1f,\n"
                "  \"threads\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
-               "  \"sched\": \"%.*s\"",
+               "  \"sched\": \"steal\"",
                name.c_str(), wall_ms,
                static_cast<unsigned long long>(probes),
                seconds > 0 ? static_cast<double>(probes) / seconds : 0.0,
                static_cast<unsigned long long>(signatures),
                seconds > 0 ? static_cast<double>(signatures) / seconds : 0.0,
-               threads, std::thread::hardware_concurrency(),
-               static_cast<int>(to_string(exec::resolve_scheduler()).size()),
-               to_string(exec::resolve_scheduler()).data());
+               threads, std::thread::hardware_concurrency());
   if (!extra.empty()) std::fprintf(out, ",\n  %s", extra.c_str());
   std::fprintf(out, "\n}\n");
   std::fclose(out);

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "exec/engine.h"
 
 using namespace rootsim;
 
@@ -29,9 +28,7 @@ int main() {
 
   const unsigned hw =
       std::max(1u, std::thread::hardware_concurrency());
-  std::printf("host hardware threads: %u, scheduler: %.*s\n\n", hw,
-              static_cast<int>(to_string(exec::resolve_scheduler()).size()),
-              to_string(exec::resolve_scheduler()).data());
+  std::printf("host hardware threads: %u, scheduler: steal\n\n", hw);
   std::printf("%8s %12s %10s %12s %14s %16s\n", "workers", "wall ms",
               "speedup", "efficiency", "probes/s", "sig-checks/s");
 

@@ -9,7 +9,7 @@
 // `run` applies the spec to a campaign, executes the streaming SLO monitor,
 // writes slo.jsonl / incidents.jsonl into DIR (default "<name>-run"), and
 // prints every detected incident with its attributed cause. The exports are
-// byte-identical for any --workers value and either ROOTSIM_SCHED mode.
+// byte-identical for any --workers value.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

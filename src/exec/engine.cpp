@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "exec/profiler.h"
@@ -19,22 +20,12 @@ size_t resolve_workers(size_t requested) {
   return 1;
 }
 
-std::string_view to_string(SchedulerMode mode) {
-  return mode == SchedulerMode::Static ? "static" : "steal";
-}
-
-SchedulerMode resolve_scheduler() {
-  if (const char* env = std::getenv("ROOTSIM_SCHED"))
-    if (std::strcmp(env, "static") == 0) return SchedulerMode::Static;
-  return SchedulerMode::WorkSteal;
-}
-
 namespace {
 
 // A worker's remaining range of units, packed {begin:high32, end:low32} into
 // one atomic word so owner pops and thief steals are single CASes. Empty when
-// begin >= end. The packing caps unit counts at 2^32 (the corpus is ~2^23);
-// larger regions fall back to the static scheduler.
+// begin >= end. The packing caps unit counts below 2^32 (the corpus is
+// ~2^23); run_units rejects larger regions.
 constexpr uint64_t pack_range(uint32_t begin, uint32_t end) {
   return (static_cast<uint64_t>(begin) << 32) | end;
 }
@@ -127,50 +118,33 @@ void run_work_steal(size_t unit_count, size_t workers,
   for (auto& t : pool) t.join();
 }
 
-void run_static(size_t unit_count, size_t workers,
-                const std::function<void(size_t, size_t)>& fn) {
-  const size_t chunk = (unit_count + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(begin + chunk, unit_count);
-    if (begin >= end) break;
-    pool.emplace_back([&fn, w, begin, end] {
-      for (size_t unit = begin; unit < end; ++unit) fn(unit, w);
-    });
-  }
-  for (auto& t : pool) t.join();
+// The worker count a region runs on: `workers` clamped to [1, unit_count].
+// Throws std::length_error for a multi-worker region the range packing
+// cannot hold, before any thread starts or any profiler slot is allocated.
+size_t region_workers(size_t unit_count, size_t workers) {
+  workers = std::max<size_t>(1, std::min(workers, unit_count));
+  if (workers > 1 && unit_count > std::numeric_limits<uint32_t>::max())
+    throw std::length_error("parallel_for: work stealing takes fewer than "
+                            "2^32 units per region");
+  return workers;
 }
 
-void run_units(size_t unit_count, size_t workers, SchedulerMode mode,
+// `workers` comes from region_workers().
+void run_units(size_t unit_count, size_t workers,
                const std::function<void(size_t, size_t)>& fn,
                uint64_t* steal_counts) {
-  if (unit_count == 0) return;
-  if (workers == 0) workers = 1;
-  if (workers > unit_count) workers = unit_count;
   if (workers == 1) {
     for (size_t unit = 0; unit < unit_count; ++unit) fn(unit, 0);
     return;
   }
-  if (mode == SchedulerMode::WorkSteal &&
-      unit_count <= (uint64_t{1} << 32) - 1) {
-    run_work_steal(unit_count, workers, fn, steal_counts);
-  } else {
-    run_static(unit_count, workers, fn);
-  }
+  run_work_steal(unit_count, workers, fn, steal_counts);
 }
 
 }  // namespace
 
 void parallel_for(size_t unit_count, size_t workers,
                   const std::function<void(size_t, size_t)>& fn) {
-  run_units(unit_count, workers, resolve_scheduler(), fn, nullptr);
-}
-
-void parallel_for(size_t unit_count, size_t workers, SchedulerMode mode,
-                  const std::function<void(size_t, size_t)>& fn) {
-  run_units(unit_count, workers, mode, fn, nullptr);
+  run_units(unit_count, region_workers(unit_count, workers), fn, nullptr);
 }
 
 void parallel_for(size_t unit_count, size_t workers, Profiler* profiler,
@@ -179,14 +153,11 @@ void parallel_for(size_t unit_count, size_t workers, Profiler* profiler,
     parallel_for(unit_count, workers, fn);
     return;
   }
-  const SchedulerMode mode = resolve_scheduler();
-  const size_t effective =
-      std::max<size_t>(1, std::min(workers ? workers : 1, unit_count));
-  profiler->begin_region(unit_count, effective);
-  profiler->set_scheduler(to_string(mode));
+  const size_t effective = region_workers(unit_count, workers);
   std::vector<uint64_t> steals(effective, 0);
+  profiler->begin_region(unit_count, effective);
   run_units(
-      unit_count, workers, mode,
+      unit_count, effective,
       [&](size_t unit, size_t worker) {
         const double begin_ms = profiler->now_ms();
         fn(unit, worker);

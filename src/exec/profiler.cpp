@@ -27,13 +27,8 @@ void Profiler::begin_region(size_t unit_count, size_t workers) {
   workers_ = std::max<size_t>(workers, 1);
   units_.assign(unit_count, UnitSpan{});
   steals_.assign(workers_, 0);
-  sched_ = "static";
   region_begin_ms_ = now_ms();
   region_end_ms_ = region_begin_ms_;
-}
-
-void Profiler::set_scheduler(std::string_view sched) {
-  sched_.assign(sched);
 }
 
 void Profiler::note_steals(size_t worker, uint64_t count) {
@@ -110,8 +105,8 @@ std::string Profiler::to_json() const {
           : 0,
       mean_busy > 0 ? critical_path / mean_busy : 0);
   out += util::format(
-      ",\"tail_ms\":%.3f,\"sched\":\"%s\",\"hardware_concurrency\":%u",
-      tail_ms, sched_.c_str(), std::thread::hardware_concurrency());
+      ",\"tail_ms\":%.3f,\"sched\":\"steal\",\"hardware_concurrency\":%u",
+      tail_ms, std::thread::hardware_concurrency());
   out += "},\"per_worker\":[";
   for (size_t w = 0; w < reports.size(); ++w) {
     const WorkerReport& report = reports[w];

@@ -46,12 +46,7 @@ class Profiler {
   /// Opens a profiled region of `unit_count` slot-addressed units running on
   /// `workers` workers. Clears any previous region.
   void begin_region(size_t unit_count, size_t workers);
-  /// Names the scheduler that ran the region ("steal" / "static"); lands in
-  /// the summary so a profile is interpretable without the environment that
-  /// produced it.
-  void set_scheduler(std::string_view sched);
   /// Records how many times worker `worker` stole from a victim's range.
-  /// Zero under the static scheduler by construction.
   void note_steals(size_t worker, uint64_t count);
   /// Records unit `unit`'s wall span on worker `shard`. Slot-addressed:
   /// callers pass distinct units, so no synchronization is needed.
@@ -74,8 +69,7 @@ class Profiler {
     double first_begin_ms = 0;
     double last_end_ms = 0;
     double utilization = 0;   ///< busy_ms / region wall_ms
-    double idle_ms = 0;       ///< region wall_ms - busy_ms (the idle tail
-                              ///< the static scheduler used to hide)
+    double idle_ms = 0;       ///< region wall_ms - busy_ms
     double sim_ms = 0;        ///< simulated time attributed to its units
     uint64_t steal_count = 0; ///< steals this worker performed
   };
@@ -85,7 +79,8 @@ class Profiler {
   ///   {"schema":"rootsim-exec-profile/2","summary":{...},
   ///    "per_worker":[...],"units":[[unit,worker,begin,end,sim],...]}
   /// summary carries workers/units/wall_ms/total_busy_ms/critical_path_ms/
-  /// parallel_efficiency/imbalance/tail_ms/sched/hardware_concurrency —
+  /// parallel_efficiency/imbalance/tail_ms/sched/hardware_concurrency (sched
+  /// is always "steal", the engine's only scheduler) —
   /// critical path is the busiest worker's span sum; imbalance is critical
   /// path over mean worker busy time (1.0 = perfectly balanced); tail_ms is
   /// the post-last-unit span (region end minus the last unit's end: join +
@@ -109,7 +104,6 @@ class Profiler {
   size_t workers_ = 0;
   double region_begin_ms_ = 0;
   double region_end_ms_ = 0;
-  std::string sched_ = "static";
   std::vector<uint64_t> steals_;
   std::vector<UnitSpan> units_;
 };

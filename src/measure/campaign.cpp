@@ -92,7 +92,6 @@ Campaign::Campaign(CampaignConfig config, obs::Obs obs)
                    config_.vp_scale);
   prober_ = std::make_unique<Prober>(*authority_, catalog_, *router_,
                                      config_.transport, obs_);
-  faults_ = config_.fault_plan;
   if (obs_.metrics) {
     obs_.metrics->gauge("campaign.vantage_points").set(
         static_cast<double>(vps_.size()));
@@ -103,12 +102,7 @@ Campaign::Campaign(CampaignConfig config, obs::Obs obs)
 
 std::vector<ZoneAuditObservation> Campaign::run_zone_audit(
     size_t clean_samples, size_t workers) const {
-  return run_zone_audit_with(faults_, clean_samples, workers);
-}
-
-std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
-    const std::vector<FaultEvent>& faults, size_t clean_samples,
-    size_t workers) const {
+  const std::vector<FaultEvent>& faults = config_.fault_plan;
   dnssec::TrustAnchors anchors = authority_->trust_anchors();
   const util::Rng audit_rng = util::Rng(config_.seed).fork("zone-audit");
 
@@ -125,7 +119,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   std::unordered_map<uint32_t, size_t> fallback_base;
   {
     std::vector<uint32_t> missing;
-    for (const FaultEvent& event : faults_)
+    for (const FaultEvent& event : faults)
       if (!vp_index.count(event.vp_id)) missing.push_back(event.vp_id);
     std::sort(missing.begin(), missing.end());
     missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
@@ -203,27 +197,19 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
   // same for every worker count; per-unit obs shards merged in unit order
   // keep the metric/trace exports byte-identical too — no matter which
   // worker the scheduler hands a unit to, or in what order.
-  const size_t fault_count = faults_.size();
+  const size_t fault_count = faults.size();
   const size_t total_units = fault_count + clean_samples;
   workers = std::max<size_t>(1, std::min(exec::resolve_workers(workers),
                                          std::max<size_t>(total_units, 1)));
   exec::ObsShards shards(obs_, total_units);
-  // Each worker owns one Prober (and its Transport); the unit body rebinds
-  // it to the current unit's obs shard before probing. An attached flight
-  // recorder gets one lock-free shard per worker so recording stays off the
-  // parallel hot path (its ring is diagnostic, merged at read time).
-  std::vector<netsim::FlightRecorder::Shard*> flight_shards;
-  if (config_.transport.flight_recorder && workers > 1)
-    flight_shards = config_.transport.flight_recorder->make_shards(workers);
+  // Each worker owns one Prober (and its Transport, which registers its own
+  // flight-recorder shard); the unit body rebinds it to the current unit's
+  // obs shard before probing.
   std::vector<std::unique_ptr<Prober>> probers;
   probers.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    netsim::TransportConfig transport_config = config_.transport;
-    if (!flight_shards.empty()) transport_config.flight_shard = flight_shards[w];
+  for (size_t w = 0; w < workers; ++w)
     probers.push_back(std::make_unique<Prober>(*authority_, catalog_, *router_,
-                                               std::move(transport_config),
-                                               obs::Obs{}));
-  }
+                                               config_.transport, obs::Obs{}));
   std::vector<ZoneAuditObservation> observations(total_units);
   // Hoisted out of the sampling loop: the address set is time-invariant for
   // the fixed `end` snapshot and each unit needs only a reference.
@@ -246,7 +232,7 @@ std::vector<ZoneAuditObservation> Campaign::run_zone_audit_with(
     prober.rebind_obs(sink);
     if (unit < fault_count) {
       // Planned fault event: full-fidelity probe with the fault knobs set.
-      const FaultEvent& event = faults_[unit];
+      const FaultEvent& event = faults[unit];
       if (sink.metrics)
         sink.count("campaign.fault_events",
                    {{"kind", fault_kind_name(event.kind)}});

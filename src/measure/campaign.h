@@ -105,14 +105,14 @@ struct SloTimelineOptions {
   size_t publication_samples = 6;
   /// 0 = ROOTSIM_WORKERS env var, else serial (same as run_zone_audit).
   size_t workers = 0;
-  /// Optional: failed probes are recorded here (per-worker shards when
-  /// workers > 1) and its deterministic failure_summary() feeds attribution.
+  /// Optional: failed probes are recorded here (one shard per worker) and
+  /// its deterministic failure_summary() feeds attribution.
   netsim::FlightRecorder* flight_recorder = nullptr;
 };
 
 /// Everything one monitored timeline run produces. The JSONL strings are the
 /// canonical slo.jsonl / incidents.jsonl exports — byte-identical across
-/// worker counts and scheduler modes.
+/// worker counts and steal schedules.
 struct SloTimelineResult {
   std::vector<obs::SloWindow> windows;
   std::vector<obs::Incident> incidents;
@@ -148,9 +148,11 @@ class Campaign {
   const Prober& prober() const { return *prober_; }
   /// The simulated transport the campaign's prober sends everything through.
   const netsim::Transport& transport() const { return prober_->transport(); }
-  const std::vector<FaultEvent>& fault_plan() const { return faults_; }
+  const std::vector<FaultEvent>& fault_plan() const {
+    return config_.fault_plan;
+  }
 
-  /// Runs the ZONEMD audit: executes every planned fault event as a full
+  /// Runs the ZONEMD audit: executes every fault_plan() event as a full
   /// AXFR + validation, plus `clean_samples` healthy transfers spread over
   /// the campaign (sampling the 75M-transfer corpus the paper validated).
   ///
@@ -161,14 +163,6 @@ class Campaign {
   /// AND the metric/trace exports are byte-identical for any worker count.
   std::vector<ZoneAuditObservation> run_zone_audit(size_t clean_samples = 200,
                                                    size_t workers = 0) const;
-
-  /// Scenario-first entry point (defined in scenario/apply.cpp; callers link
-  /// rootsim_scenario): runs the audit over `spec`'s fault timeline instead
-  /// of the campaign config's plan. The campaign should have been built from
-  /// the same spec so topology/zone phases line up.
-  std::vector<ZoneAuditObservation> run_zone_audit(
-      const scenario::ScenarioSpec& spec, size_t clean_samples = 200,
-      size_t workers = 0) const;
 
   /// Runs the streaming RSSAC047 SLO monitor over the campaign's schedule:
   /// one work unit per 6 h bucket of simulated time, each sampling
@@ -194,12 +188,6 @@ class Campaign {
                                      SloTimelineOptions options) const;
 
  private:
-  /// The audit body, over an explicit fault plan (the scenario overload
-  /// swaps in the spec's plan; the default overload passes fault_plan()).
-  std::vector<ZoneAuditObservation> run_zone_audit_with(
-      const std::vector<FaultEvent>& faults, size_t clean_samples,
-      size_t workers) const;
-
   CampaignConfig config_;
   obs::Obs obs_;
   rss::RootCatalog catalog_;
@@ -209,7 +197,6 @@ class Campaign {
   std::vector<VantagePoint> vps_;
   Schedule schedule_;
   std::unique_ptr<Prober> prober_;
-  std::vector<FaultEvent> faults_;
 };
 
 }  // namespace rootsim::measure

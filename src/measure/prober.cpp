@@ -1,5 +1,8 @@
 #include "measure/prober.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "dns/axfr.h"
 #include "rss/endpoint.h"
 #include "util/strings.h"
@@ -24,12 +27,12 @@ void Prober::rebind_obs(obs::Obs obs) {
     tcp_retries_ = obs_.counter_handle("prober.tcp_retries");
     axfr_ok_ = obs_.counter_handle("prober.axfr", {{"result", "ok"}});
     axfr_refused_ = obs_.counter_handle("prober.axfr", {{"result", "refused"}});
-    rtt_ms_[0] = obs_.histogram_handle("prober.rtt_ms", {{"family", "v4"}});
-    rtt_ms_[1] = obs_.histogram_handle("prober.rtt_ms", {{"family", "v6"}});
+    rtt_us_[0] = obs_.histogram_handle("prober.rtt_us", {{"family", "v4"}});
+    rtt_us_[1] = obs_.histogram_handle("prober.rtt_us", {{"family", "v6"}});
   } else {
     probes_ = timeouts_ = tcp_retries_ = nullptr;
     axfr_ok_ = axfr_refused_ = nullptr;
-    rtt_ms_[0] = rtt_ms_[1] = nullptr;
+    rtt_us_[0] = rtt_us_[1] = nullptr;
   }
 }
 
@@ -153,8 +156,9 @@ ProbeRecord Prober::probe(const VantagePoint& vp, const util::IpAddress& address
   record.rtt_ms = transport_.effective_rtt_ms(route);
   record.second_to_last_hop = route.second_to_last_hop;
   record.traceroute_hops = route.hops;
-  obs::observe(rtt_ms_[record.family == util::IpFamily::V4 ? 0 : 1],
-               record.rtt_ms);
+  obs::observe(rtt_us_[record.family == util::IpFamily::V4 ? 0 : 1],
+               static_cast<uint64_t>(
+                   std::llround(std::max(0.0, record.rtt_ms) * 1000.0)));
 
   const netsim::AnycastSite& site =
       transport_.router().topology().sites[route.site_id];

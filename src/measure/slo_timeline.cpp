@@ -80,9 +80,9 @@ SloTimelineResult Campaign::run_slo_timeline(
   if (!main.slo) main.slo = &local_collector;
   exec::ObsShards shards(main, total_units);
 
-  std::vector<netsim::FlightRecorder::Shard*> flight_shards;
-  if (options.flight_recorder && workers > 1)
-    flight_shards = options.flight_recorder->make_shards(workers);
+  std::vector<netsim::FlightRecorder::Shard*> recorder_shards;
+  if (options.flight_recorder)
+    recorder_shards = options.flight_recorder->make_shards(workers);
 
   const util::Rng timeline_rng = util::Rng(config_.seed).fork("slo-timeline");
   const netsim::Transport& transport = prober_->transport();
@@ -116,8 +116,8 @@ SloTimelineResult Campaign::run_slo_timeline(
     const util::UnixTime bucket_begin = obs::SloCollector::bucket_start(bucket);
     util::Rng rng = timeline_rng.fork(
         util::format("bucket-%lld", static_cast<long long>(bucket)));
-    netsim::FlightRecorder::Shard* flight_shard =
-        flight_shards.empty() ? nullptr : flight_shards[worker];
+    netsim::FlightRecorder::Shard* recorder_shard =
+        recorder_shards.empty() ? nullptr : recorder_shards[worker];
 
     for (uint32_t root = 0; root < obs::kSloRoots; ++root) {
       for (int fam = 0; fam < 2; ++fam) {
@@ -185,7 +185,7 @@ SloTimelineResult Campaign::run_slo_timeline(
                       : 0.0;
               slo->record(sample);
             }
-          } else {
+          } else if (recorder_shard) {
             // The monitor's packet-level shadow: a dark site looks like a
             // timeout to the prober, and the flight recorder's failure
             // summary is what lets attribution cross-check transport-level
@@ -203,10 +203,7 @@ SloTimelineResult Campaign::run_slo_timeline(
             record.qtype = 6;  // SOA
             record.when = t;
             record.time_ms = 10500.0;  // full UDP retry budget
-            if (flight_shard)
-              flight_shard->record(std::move(record));
-            else if (options.flight_recorder)
-              options.flight_recorder->record(std::move(record));
+            recorder_shard->record(std::move(record));
           }
         }
 

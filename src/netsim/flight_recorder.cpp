@@ -43,14 +43,6 @@ void FlightRecorder::Shard::record(FlightRecord record) {
   ring_.push_back(std::move(record));
 }
 
-void FlightRecorder::record(FlightRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  note_summary(summary_, record);
-  if (ring_.size() >= capacity_) ring_.pop_front();
-  ++recorded_;
-  ring_.push_back(std::move(record));
-}
-
 std::vector<FlightRecorder::Shard*> FlightRecorder::make_shards(size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Shard*> out;
@@ -66,7 +58,7 @@ size_t FlightRecorder::size() const { return records().size(); }
 
 uint64_t FlightRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = recorded_;
+  uint64_t total = 0;
   for (const Shard& shard : shards_) total += shard.recorded_;
   return total;
 }
@@ -77,7 +69,7 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
   std::lock_guard<std::mutex> lock(mu_);
   // Fold: counts add, first is a min, last is a max — all order-insensitive,
   // so the result is independent of which shard recorded what.
-  SummaryCells folded = summary_;
+  SummaryCells folded{};
   for (const Shard& shard : shards_) {
     for (size_t i = 0; i < folded.size(); ++i) {
       const SummaryCell& cell = shard.summary_[i];
@@ -114,12 +106,12 @@ FlightFailureSummary FlightRecorder::failure_summary() const {
 
 std::vector<FlightRecord> FlightRecorder::records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightRecord> merged{ring_.begin(), ring_.end()};
+  std::vector<FlightRecord> merged;
   for (const Shard& shard : shards_)
     merged.insert(merged.end(), shard.ring_.begin(), shard.ring_.end());
   // Order by simulated send time (scheduling put them in arbitrary shards);
-  // stable so owner-then-shard order breaks ties, then keep the newest
-  // `capacity` like a single ring would have.
+  // stable so shard order breaks ties, then keep the newest `capacity` like
+  // a single ring would have.
   std::stable_sort(merged.begin(), merged.end(),
                    [](const FlightRecord& a, const FlightRecord& b) {
                      return a.when < b.when;
@@ -132,23 +124,7 @@ std::vector<FlightRecord> FlightRecorder::records() const {
 
 void FlightRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  // recorded totals stay monotone per recorder across clear(): fold the
-  // dying shards' counts into the owner before dropping them. The failure
-  // summary keeps the same contract.
-  for (const Shard& shard : shards_) {
-    recorded_ += shard.recorded_;
-    for (size_t i = 0; i < summary_.size(); ++i) {
-      const SummaryCell& cell = shard.summary_[i];
-      if (cell.count == 0) continue;
-      if (summary_[i].count == 0 || cell.first < summary_[i].first)
-        summary_[i].first = cell.first;
-      if (summary_[i].count == 0 || cell.last > summary_[i].last)
-        summary_[i].last = cell.last;
-      summary_[i].count += cell.count;
-    }
-  }
-  ring_.clear();
-  shards_.clear();
+  for (Shard& shard : shards_) shard.ring_.clear();
 }
 
 std::string FlightRecorder::to_jsonl() const {

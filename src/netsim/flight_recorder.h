@@ -6,19 +6,19 @@
 // counts, byte and time cost — so a failed query can be post-mortemed from
 // the ring dump (rootdig does exactly that on failure).
 //
-// Attach one by pointing TransportConfig::flight_recorder at it; the
-// transport records every exchange() / axfr() completion. With no recorder
-// attached the transport pays one null-pointer branch per exchange.
+// Attach one by pointing TransportConfig::flight_recorder at it; each
+// transport registers its own shard and records every exchange() / axfr()
+// completion there. With no recorder attached the transport pays one
+// null-pointer branch per exchange.
 //
-// Concurrency: the owner ring is mutex-protected for ad-hoc sharing, but
-// parallel workers should each write a per-worker Shard (make_shards) —
-// single-writer rings with no lock at all, so the recorder stays enabled in
-// scaling benches without serializing workers on a mutex. Reads merge the
-// owner ring and every shard ordered by simulated send time. Either way the
-// recorder is a *diagnostic* surface — buffered order reflects scheduling
-// and never feeds the deterministic exports (metrics/trace/rssac002 stay
-// byte-identical with or without it); only the recorded() total is
-// scheduling-independent.
+// Concurrency: a recorder is a set of single-writer Shards, each a bounded
+// ring with no lock at all, so the recorder stays enabled in scaling benches
+// without serializing workers on a mutex. The recorder's mutex guards only
+// shard registration and reads; reads merge every shard ordered by simulated
+// send time. The recorder is a *diagnostic* surface — buffered order
+// reflects scheduling and never feeds the deterministic exports
+// (metrics/trace/rssac002 stay byte-identical with or without it); only the
+// recorded() total and the failure summary are scheduling-independent.
 #pragma once
 
 #include <array>
@@ -93,7 +93,7 @@ struct FlightFailureSummary {
   std::vector<Entry> entries;
 };
 
-/// Thread-safe bounded ring of FlightRecords, oldest evicted first.
+/// Bounded rings of FlightRecords, one per writer, oldest evicted first.
 class FlightRecorder {
  public:
   static constexpr size_t kSummaryRoots = 13;
@@ -106,7 +106,7 @@ class FlightRecorder {
   using SummaryCells =
       std::array<SummaryCell, kSummaryRoots * 2 * kSummaryCauses>;
 
-  /// One worker's lock-free view of the recorder. record() touches only this
+  /// One writer's lock-free view of the recorder. record() touches only this
   /// shard's own bounded ring — no mutex, single writer by construction.
   /// The parent folds shard contents into every read API.
   class Shard {
@@ -124,31 +124,29 @@ class FlightRecorder {
 
   explicit FlightRecorder(size_t capacity = 256);
 
-  void record(FlightRecord record);
-
-  /// Creates `count` per-worker shards and returns their pointers (owned by
-  /// the recorder, valid until clear()). Each call appends fresh shards;
-  /// earlier shards keep contributing to reads. Reading while a worker is
-  /// still writing its shard is a race — merge after the parallel region
-  /// (thread join gives the happens-before edge).
+  /// Creates `count` shards and returns their pointers (owned by the
+  /// recorder, valid for its lifetime). Each call appends fresh shards;
+  /// earlier shards keep contributing to reads. Reading while a writer is
+  /// still recording into its shard is a race — read after the parallel
+  /// region (thread join gives the happens-before edge).
   std::vector<Shard*> make_shards(size_t count);
 
   size_t capacity() const { return capacity_; }
   size_t size() const;
-  /// Total records ever recorded, including evicted ones, across the owner
-  /// ring and all shards. Scheduling-independent.
+  /// Total records ever recorded, including evicted and cleared ones, across
+  /// all shards. Scheduling-independent.
   uint64_t recorded() const;
-  /// Records evicted by the ring bounds (recorded minus buffered).
+  /// Records no longer buffered (recorded minus buffered).
   uint64_t dropped() const;
 
-  /// The deterministic failure rollup (see FlightFailureSummary). Folds the
-  /// owner's cells with every shard's; safe to read after the parallel
-  /// region joins. Records with root_index outside [0, kSummaryRoots)
-  /// (priming, local-root refresh) are not rolled up.
+  /// The deterministic failure rollup (see FlightFailureSummary). Folds
+  /// every shard's cells; safe to read after the parallel region joins.
+  /// Records with root_index outside [0, kSummaryRoots) (priming, local-root
+  /// refresh) are not rolled up.
   FlightFailureSummary failure_summary() const;
 
   /// Merged copy of the buffered records, ordered by simulated send time
-  /// (ties keep owner-then-shard order), truncated to the newest `capacity`.
+  /// (ties keep shard order), truncated to the newest `capacity`.
   std::vector<FlightRecord> records() const;
 
   /// One JSON object per buffered record, oldest first:
@@ -158,8 +156,9 @@ class FlightRecorder {
   ///    "bytes_received":0,"time_ms":10500.0}
   std::string to_jsonl() const;
 
-  /// Drops all buffered records and all shards (their pointers die here).
-  /// Not safe while workers are still recording.
+  /// Empties every shard's ring in place. Shards stay registered (their
+  /// pointers stay valid) and keep their recorded() totals and failure
+  /// summary. Not safe while writers are still recording.
   void clear();
 
  private:
@@ -167,10 +166,7 @@ class FlightRecorder {
 
   mutable std::mutex mu_;
   size_t capacity_;
-  uint64_t recorded_ = 0;
-  std::deque<FlightRecord> ring_;
   std::deque<Shard> shards_;
-  SummaryCells summary_{};
 };
 
 }  // namespace rootsim::netsim

@@ -14,6 +14,8 @@ std::string_view to_string(TransportProto proto) {
 Transport::Transport(const AnycastRouter& router, TransportConfig config,
                      obs::Obs obs)
     : router_(&router), config_(std::move(config)) {
+  if (config_.flight_recorder)
+    recorder_shard_ = config_.flight_recorder->make_shards(1).front();
   rebind_obs(obs);
 }
 
@@ -146,7 +148,7 @@ ExchangeOutcome Transport::exchange(Path& path, const Endpoint& endpoint,
     telemetry.response_bytes = outcome.delivered ? path.wire_.size() : 0;
     endpoint.note_exchange(telemetry);
   }
-  if (config_.flight_shard || config_.flight_recorder) {
+  if (recorder_shard_) {
     FlightRecord record;
     record.op = FlightRecord::Op::Query;
     record.cause = outcome.timed_out    ? FlightRecord::Cause::Timeout
@@ -169,10 +171,7 @@ ExchangeOutcome Transport::exchange(Path& path, const Endpoint& endpoint,
       record.qtype = static_cast<uint16_t>(query.questions[0].qtype);
     }
     record.when = now;
-    if (config_.flight_shard)
-      config_.flight_shard->record(std::move(record));
-    else
-      config_.flight_recorder->record(std::move(record));
+    recorder_shard_->record(std::move(record));
   }
   return outcome;
 }
@@ -299,7 +298,7 @@ AxfrOutcome Transport::axfr(Path& path, const Endpoint& endpoint,
         outcome.delivered ? outcome.stream.size() : uint64_t{64};
     endpoint.note_exchange(telemetry);
   }
-  if (config_.flight_shard || config_.flight_recorder) {
+  if (recorder_shard_) {
     FlightRecord record;
     record.op = FlightRecord::Op::Axfr;
     record.cause = outcome.tcp_refused  ? FlightRecord::Cause::TcpRefused
@@ -317,10 +316,7 @@ AxfrOutcome Transport::axfr(Path& path, const Endpoint& endpoint,
     record.bytes_received = outcome.stats.bytes_received;
     record.time_ms = outcome.stats.time_ms;
     record.when = now;
-    if (config_.flight_shard)
-      config_.flight_shard->record(std::move(record));
-    else
-      config_.flight_recorder->record(std::move(record));
+    recorder_shard_->record(std::move(record));
   }
   return outcome;
 }

@@ -120,15 +120,11 @@ struct TransportConfig {
   /// AXFR pacing: the framed stream is charged one RTT per in-flight window
   /// of this many bytes (stop-and-wait per window — crude but deterministic).
   size_t tcp_window_bytes = 64 * 1024;
-  /// Optional flight recorder (non-owning): when set, every exchange()/axfr()
-  /// completion is pushed onto its ring for post-mortem. Diagnostic only —
+  /// Optional flight recorder (non-owning): when set, each Transport built
+  /// from this config registers its own shard and pushes every
+  /// exchange()/axfr() completion onto it for post-mortem. Diagnostic only —
   /// never part of the deterministic export surface (see flight_recorder.h).
   FlightRecorder* flight_recorder = nullptr;
-  /// Per-worker shard of the recorder (non-owning). When set it wins over
-  /// `flight_recorder`: records go to the shard's lock-free ring instead of
-  /// the owner's mutex-protected one, keeping the recorder off the parallel
-  /// hot path (see FlightRecorder::make_shards).
-  FlightRecorder::Shard* flight_shard = nullptr;
 
   const LinkConditions& conditions_for_site(uint32_t site_id) const {
     auto it = site_conditions.find(site_id);
@@ -250,7 +246,10 @@ class Transport {
   };
 
   /// `obs` (optional) records exchange counts by protocol, drops, timeouts,
-  /// TCP fallbacks and wire bytes under `transport.*`.
+  /// TCP fallbacks and wire bytes under `transport.*`. With
+  /// `config.flight_recorder` set, the transport registers one recorder shard
+  /// it alone writes (copies of the transport share it, so only one copy may
+  /// exchange at a time — each worker builds its own transport).
   explicit Transport(const AnycastRouter& router, TransportConfig config = {},
                      obs::Obs obs = {});
 
@@ -322,6 +321,7 @@ class Transport {
 
   const AnycastRouter* router_;
   TransportConfig config_;
+  FlightRecorder::Shard* recorder_shard_ = nullptr;  // null: no recorder
   obs::Obs obs_;
   // Pre-resolved metric handles; null when no sink is attached.
   obs::Counter* exchanges_[2] = {nullptr, nullptr};  // udp, tcp

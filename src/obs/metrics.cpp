@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/strings.h"
 
@@ -40,89 +39,6 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
-}
-
-void Histogram::observe(double v) {
-  // First bucket whose upper bound admits v; the trailing slot is +inf.
-  size_t idx =
-      static_cast<size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), v) -
-                          bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<uint64_t> Histogram::bucket_counts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1);
-  for (size_t i = 0; i < out.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
-
-void Histogram::merge_from(const Histogram& other) {
-  if (bounds_ != other.bounds_) return;
-  for (size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  double add = other.sum();
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + add,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-double histogram_quantile(const std::vector<double>& bounds,
-                          const std::vector<uint64_t>& buckets, double q) {
-  uint64_t total = 0;
-  for (uint64_t c : buckets) total += c;
-  if (total == 0 || bounds.empty() || buckets.size() != bounds.size() + 1)
-    return 0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  const double rank = q * static_cast<double>(total - 1);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (rank < static_cast<double>(cumulative + in_bucket)) {
-      // Overflow bucket: no finite upper edge to interpolate toward.
-      if (i == bounds.size()) return bounds.back();
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
-      const double offset = (rank - static_cast<double>(cumulative)) /
-                            static_cast<double>(in_bucket);
-      return lower + (upper - lower) * offset;
-    }
-    cumulative += in_bucket;
-  }
-  return bounds.back();
-}
-
-double sample_quantile(const MetricSample& sample, double q) {
-  if (sample.kind != MetricSample::Kind::Histogram) return 0;
-  return histogram_quantile(sample.bounds, sample.buckets, q);
-}
-
-double Histogram::quantile(double q) const {
-  return histogram_quantile(bounds_, bucket_counts(), q);
-}
-
-const std::vector<double>& default_latency_bounds_ms() {
-  static const std::vector<double> bounds = {1,  2,   5,   10,  20,  50,
-                                             100, 150, 200, 300, 500};
-  return bounds;
-}
-
 namespace {
 
 LabelSet normalize(LabelSet labels) {
@@ -154,31 +70,29 @@ Gauge& MetricsRegistry::gauge(std::string_view name, LabelSet labels,
   return *entry.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, LabelSet labels,
-                                      std::vector<double> bounds) {
+LockedHistogram& MetricsRegistry::histogram(std::string_view name,
+                                            LabelSet labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = series_[Key{std::string(name), normalize(std::move(labels))}];
   if (!entry.histogram) {
     entry.kind = MetricSample::Kind::Histogram;
-    if (bounds.empty()) bounds = default_latency_bounds_ms();
-    entry.histogram = std::make_unique<Histogram>(std::move(bounds));
+    entry.histogram = std::make_unique<LockedHistogram>();
   }
   return *entry.histogram;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Collect stable handles under the source lock, then apply under our own
-  // (taken inside the registration helpers) — the two locks are never held
-  // together, so merging between live registries cannot deadlock. Handles
-  // stay valid after the source lock drops (registry entries never move),
-  // and shard registries are quiescent by the time they are merged.
+  // Collect values under the source lock, then apply under our own (taken
+  // inside the registration helpers) — the two locks are never held
+  // together, so merging between live registries cannot deadlock. Shard
+  // registries are quiescent by the time they are merged.
   struct Pending {
     Key key;
     MetricSample::Kind kind = MetricSample::Kind::Counter;
     bool volatile_metric = false;
     uint64_t count = 0;
     double value = 0;
-    const Histogram* histogram = nullptr;
+    LogLinearHistogram histogram;
   };
   std::vector<Pending> pending;
   {
@@ -197,7 +111,7 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
           p.value = entry.gauge->value();
           break;
         case MetricSample::Kind::Histogram:
-          p.histogram = entry.histogram.get();
+          p.histogram = entry.histogram->value();
           break;
       }
       pending.push_back(std::move(p));
@@ -214,8 +128,7 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
         gauge(p.key.name, p.key.labels, p.volatile_metric).set_max(p.value);
         break;
       case MetricSample::Kind::Histogram:
-        histogram(p.key.name, p.key.labels, p.histogram->bounds())
-            .merge_from(*p.histogram);
+        histogram(p.key.name, p.key.labels).merge_from(p.histogram);
         break;
     }
   }
@@ -240,27 +153,13 @@ std::vector<MetricSample> MetricsRegistry::snapshot(bool include_volatile) const
         sample.value = entry.gauge->value();
         break;
       case MetricSample::Kind::Histogram:
-        sample.count = entry.histogram->count();
-        sample.value = entry.histogram->sum();
-        sample.bounds = entry.histogram->bounds();
-        sample.buckets = entry.histogram->bucket_counts();
+        sample.histogram = entry.histogram->value();
         break;
     }
     out.push_back(std::move(sample));
   }
   return out;
 }
-
-namespace {
-
-std::string format_bound(double bound) {
-  // Integral bounds print without a decimal point so "le10" stays readable.
-  if (bound == std::floor(bound) && std::abs(bound) < 1e15)
-    return util::format("%lld", static_cast<long long>(bound));
-  return util::format("%g", bound);
-}
-
-}  // namespace
 
 std::string sample_to_text(const MetricSample& sample) {
   std::string line = sample.name + labels_to_string(sample.labels);
@@ -272,16 +171,12 @@ std::string sample_to_text(const MetricSample& sample) {
       line += util::format(" %.3f", sample.value);
       break;
     case MetricSample::Kind::Histogram: {
-      line += util::format(" count=%llu sum=%.3f",
-                           static_cast<unsigned long long>(sample.count),
-                           sample.value);
-      for (size_t i = 0; i < sample.buckets.size(); ++i) {
-        std::string bound = i < sample.bounds.size()
-                                ? "le" + format_bound(sample.bounds[i])
-                                : std::string("inf");
-        line += util::format(" %s=%llu", bound.c_str(),
-                             static_cast<unsigned long long>(sample.buckets[i]));
-      }
+      const LogLinearHistogram& h = sample.histogram;
+      line += util::format(" count=%llu sum=%llu p50=%.1f p90=%.1f p99=%.1f",
+                           static_cast<unsigned long long>(h.count()),
+                           static_cast<unsigned long long>(h.sum()),
+                           h.quantile(0.50), h.quantile(0.90),
+                           h.quantile(0.99));
       break;
     }
   }
@@ -307,24 +202,9 @@ std::string sample_to_json(const MetricSample& sample) {
     case MetricSample::Kind::Gauge:
       out += util::format(",\"type\":\"gauge\",\"value\":%.3f", sample.value);
       break;
-    case MetricSample::Kind::Histogram: {
-      out += util::format(",\"type\":\"histogram\",\"count\":%llu,\"sum\":%.3f",
-                          static_cast<unsigned long long>(sample.count),
-                          sample.value);
-      out += ",\"bounds\":[";
-      for (size_t i = 0; i < sample.bounds.size(); ++i) {
-        if (i) out += ",";
-        out += format_bound(sample.bounds[i]);
-      }
-      out += "],\"buckets\":[";
-      for (size_t i = 0; i < sample.buckets.size(); ++i) {
-        if (i) out += ",";
-        out += util::format("%llu",
-                            static_cast<unsigned long long>(sample.buckets[i]));
-      }
-      out += "]";
+    case MetricSample::Kind::Histogram:
+      out += ",\"type\":\"histogram\",\"value\":" + sample.histogram.to_json();
       break;
-    }
   }
   out += "}";
   return out;

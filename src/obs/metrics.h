@@ -1,11 +1,12 @@
 // Metrics substrate for the measurement pipeline: counters, gauges and
-// fixed-bucket histograms behind one registry.
+// log-linear histograms (obs/loglin.h) behind one registry.
 //
-// Design constraints (see ISSUE 2 / ZDNS's per-query status output):
-//   * hot-path increments are lock-free (relaxed atomics on pre-resolved
-//     handles); the registry mutex is only taken at registration time,
-//     so instrumented code caches `Counter*` handles once and increments
-//     without synchronization cost afterwards;
+// Design constraints (see ZDNS's per-query status output):
+//   * hot-path counter and gauge updates are lock-free (relaxed atomics on
+//     pre-resolved handles) and histogram observes take only their own
+//     series' uncontended lock; the registry mutex is only taken at
+//     registration time, so instrumented code caches handles once and
+//     records without registry contention afterwards;
 //   * iteration order is deterministic (name-then-label lexicographic), so
 //     exports from equal-seed runs are byte-identical;
 //   * wall-clock style metrics are flagged `volatile_metric` and excluded
@@ -22,6 +23,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/loglin.h"
 
 namespace rootsim::obs {
 
@@ -64,39 +67,31 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-/// Fixed upper-bound buckets (a final +inf bucket is implicit). Bounds are
-/// immutable after registration — re-registering a histogram with different
-/// bounds keeps the first set, as Prometheus clients do.
-class Histogram {
+/// A distribution series: one LogLinearHistogram behind its own mutex.
+/// LogLinearHistogram is not atomic; the lock keeps concurrent observes on
+/// one handle from losing anything. Every hot-path writer records into its
+/// own per-unit shard, so the lock is uncontended in practice.
+class LockedHistogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  /// Adds another histogram's buckets/count/sum into this one (parallel
-  /// shard merge). Requires identical bounds; mismatched bounds are ignored
-  /// rather than corrupting buckets.
-  void merge_from(const Histogram& other);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Cumulative-free per-bucket counts; size() == bounds().size() + 1.
-  std::vector<uint64_t> bucket_counts() const;
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
-
-  /// Interpolated quantile, q in [0,1] — see histogram_quantile().
-  double quantile(double q) const;
+  void observe(uint64_t value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    histogram_.observe(value);
+  }
+  /// Adds another histogram's buckets into this one (parallel shard merge).
+  void merge_from(const LogLinearHistogram& other) {
+    std::lock_guard<std::mutex> lock(mu_);
+    histogram_.merge_from(other);
+  }
+  /// Point-in-time copy.
+  LogLinearHistogram value() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return histogram_;
+  }
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0};
+  mutable std::mutex mu_;
+  LogLinearHistogram histogram_;
 };
-
-/// Default latency buckets (milliseconds) used when a histogram is created
-/// through the convenience path.
-const std::vector<double>& default_latency_bounds_ms();
 
 /// A point-in-time copy of one metric series, used by exports and RunReport.
 struct MetricSample {
@@ -105,10 +100,9 @@ struct MetricSample {
   LabelSet labels;
   Kind kind = Kind::Counter;
   bool volatile_metric = false;  ///< wall-clock etc.; excluded by default
-  uint64_t count = 0;            ///< counter value / histogram observation count
-  double value = 0;              ///< gauge value / histogram sum
-  std::vector<double> bounds;    ///< histogram only
-  std::vector<uint64_t> buckets; ///< histogram only, bounds.size() + 1 entries
+  uint64_t count = 0;            ///< counter value
+  double value = 0;              ///< gauge value
+  LogLinearHistogram histogram;  ///< histogram only
 };
 
 class MetricsRegistry {
@@ -119,8 +113,7 @@ class MetricsRegistry {
   Counter& counter(std::string_view name, LabelSet labels = {});
   Gauge& gauge(std::string_view name, LabelSet labels = {},
                bool volatile_metric = false);
-  Histogram& histogram(std::string_view name, LabelSet labels = {},
-                       std::vector<double> bounds = {});
+  LockedHistogram& histogram(std::string_view name, LabelSet labels = {});
 
   /// Deterministically ordered copy of every series.
   std::vector<MetricSample> snapshot(bool include_volatile = false) const;
@@ -134,10 +127,11 @@ class MetricsRegistry {
 
   /// Plain-text export, one series per line:
   ///   prober.queries{rcode=NOERROR} 12345
-  ///   prober.rtt_ms{family=v4} count=120 sum=4321.000 le10=17 le20=40 ...
+  ///   prober.rtt_us{family=v4} count=120 sum=4321000 p50=31250.0 p90=...
   std::string to_text(bool include_volatile = false) const;
 
-  /// JSON-lines export, one object per series (stable key order).
+  /// JSON-lines export, one object per series (stable key order); a
+  /// histogram's "value" is its LogLinearHistogram::to_json() object.
   std::string to_jsonl(bool include_volatile = false) const;
 
   /// Total value of a counter across all label sets (0 when absent).
@@ -159,27 +153,12 @@ class MetricsRegistry {
     bool volatile_metric = false;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::unique_ptr<LockedHistogram> histogram;
   };
 
   mutable std::mutex mu_;
   std::map<Key, Entry> series_;
 };
-
-/// Interpolated quantile of a fixed-bucket histogram, q in [0,1]. Bucket i
-/// spans (bounds[i-1], bounds[i]] (0 as the floor of the first bucket — every
-/// histogram in the pipeline observes non-negative values); the value at rank
-/// q*(count-1) is placed *linearly inside* its bucket's range rather than
-/// snapped to the bucket upper bound, so p50 of a uniform sample lands near
-/// the middle of a bucket instead of at its edge. The +inf overflow bucket
-/// cannot be interpolated and reports the highest finite bound. Because
-/// merge_from() adds buckets element-wise, merge(a,b) quantiles are exactly
-/// the single-pass quantiles. Returns 0 on an empty histogram.
-double histogram_quantile(const std::vector<double>& bounds,
-                          const std::vector<uint64_t>& buckets, double q);
-
-/// Quantile of a snapshotted histogram sample (0 for counters/gauges).
-double sample_quantile(const MetricSample& sample, double q);
 
 /// Renders a MetricSample as one JSONL object (shared by registry export and
 /// RunReport).

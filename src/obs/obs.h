@@ -33,20 +33,13 @@ struct Obs {
     if (metrics) metrics->counter(name, std::move(labels)).inc(n);
   }
 
-  /// Null-safe histogram observation (default latency buckets).
-  void observe(std::string_view name, LabelSet labels, double value) const {
-    if (metrics) metrics->histogram(name, std::move(labels)).observe(value);
-  }
-
   /// Resolves a counter handle once; returns nullptr on the null sink.
   Counter* counter_handle(std::string_view name, LabelSet labels = {}) const {
     return metrics ? &metrics->counter(name, std::move(labels)) : nullptr;
   }
-  Histogram* histogram_handle(std::string_view name, LabelSet labels = {},
-                              std::vector<double> bounds = {}) const {
-    return metrics ? &metrics->histogram(name, std::move(labels),
-                                         std::move(bounds))
-                   : nullptr;
+  LockedHistogram* histogram_handle(std::string_view name,
+                                    LabelSet labels = {}) const {
+    return metrics ? &metrics->histogram(name, std::move(labels)) : nullptr;
   }
 };
 
@@ -54,7 +47,7 @@ struct Obs {
 inline void inc(Counter* counter, uint64_t n = 1) {
   if (counter) counter->inc(n);
 }
-inline void observe(Histogram* histogram, double value) {
+inline void observe(LockedHistogram* histogram, uint64_t value) {
   if (histogram) histogram->observe(value);
 }
 

@@ -181,17 +181,8 @@ rss::DistributionConfig paper_distribution_config() {
 
 namespace rootsim::measure {
 
-// Scenario-taking Campaign entry points live here so the measure library
+// The scenario-taking Campaign entry point lives here so the measure library
 // never links (or even sees) the scenario layer.
-
-std::vector<ZoneAuditObservation> Campaign::run_zone_audit(
-    const scenario::ScenarioSpec& spec, size_t clean_samples,
-    size_t workers) const {
-  std::vector<FaultEvent> faults;
-  for (const scenario::FaultSpec& fault : spec.faults)
-    faults.push_back(scenario::to_fault_event(fault));
-  return run_zone_audit_with(faults, clean_samples, workers);
-}
 
 SloTimelineResult Campaign::run_slo_timeline(
     const scenario::ScenarioSpec& spec, SloTimelineOptions options) const {

@@ -110,8 +110,9 @@ TEST(Distance, InflationNonNegativeUnlessLocal) {
   }
   // Some requests land below the diagonal only via local sites.
   for (const auto& sample : report.samples)
-    if (sample.actual_km < sample.closest_global_km - 1.0)
+    if (sample.actual_km < sample.closest_global_km - 1.0) {
       EXPECT_TRUE(sample.via_local_site);
+    }
 }
 
 TEST(Distance, HeatmapRenders) {

@@ -26,7 +26,9 @@ TEST_P(FuzzSeeds, RandomBytesNeverCrashDecoders) {
     }
     WireReader reader(bytes);
     Name name = reader.get_name();
-    if (reader.ok()) EXPECT_LE(name.wire_length(), 255u);
+    if (reader.ok()) {
+      EXPECT_LE(name.wire_length(), 255u);
+    }
     (void)decode_axfr_stream(bytes);
   }
 }

@@ -71,7 +71,9 @@ TEST(Ds, MismatchDetected) {
       f.authority->zone_at(now).find(dns::Name(), dns::RRType::DNSKEY);
   for (const auto& rdata : set->rdatas) {
     const auto* key = std::get_if<dns::DnskeyData>(&rdata);
-    if (key && !key->is_ksk()) EXPECT_FALSE(ds_matches(dns::Name(), ds, *key));
+    if (key && !key->is_ksk()) {
+      EXPECT_FALSE(ds_matches(dns::Name(), ds, *key));
+    }
   }
 }
 

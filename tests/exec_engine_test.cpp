@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,45 +27,15 @@ TEST(ParallelFor, WorkStealCoversEveryUnitExactlyOnce) {
   constexpr size_t kUnits = 103;  // deliberately not a multiple of workers
   constexpr size_t kWorkers = 4;
   std::vector<std::atomic<int>> hits(kUnits);
-  exec::parallel_for(kUnits, kWorkers, exec::SchedulerMode::WorkSteal,
-                     [&](size_t unit, size_t worker) {
-                       hits[unit].fetch_add(1);
-                       ASSERT_LT(worker, kWorkers);
-                     });
+  exec::parallel_for(kUnits, kWorkers, [&](size_t unit, size_t worker) {
+    hits[unit].fetch_add(1);
+    ASSERT_LT(worker, kWorkers);
+  });
   for (size_t unit = 0; unit < kUnits; ++unit)
     ASSERT_EQ(hits[unit].load(), 1) << unit;
 }
 
-TEST(ParallelFor, StaticModeKeepsContiguousShards) {
-  constexpr size_t kUnits = 103;
-  constexpr size_t kWorkers = 4;
-  std::vector<std::atomic<int>> hits(kUnits);
-  std::vector<std::atomic<int>> shard_of(kUnits);
-  exec::parallel_for(kUnits, kWorkers, exec::SchedulerMode::Static,
-                     [&](size_t unit, size_t shard) {
-                       hits[unit].fetch_add(1);
-                       shard_of[unit].store(static_cast<int>(shard));
-                     });
-  for (size_t unit = 0; unit < kUnits; ++unit)
-    ASSERT_EQ(hits[unit].load(), 1) << unit;
-  // Static contiguous blocks: shard indices are non-decreasing in unit order.
-  for (size_t unit = 1; unit < kUnits; ++unit)
-    ASSERT_GE(shard_of[unit].load(), shard_of[unit - 1].load()) << unit;
-}
-
-TEST(ParallelFor, ResolveSchedulerFromEnvironment) {
-  unsetenv("ROOTSIM_SCHED");
-  EXPECT_EQ(exec::resolve_scheduler(), exec::SchedulerMode::WorkSteal);
-  setenv("ROOTSIM_SCHED", "static", 1);
-  EXPECT_EQ(exec::resolve_scheduler(), exec::SchedulerMode::Static);
-  setenv("ROOTSIM_SCHED", "steal", 1);
-  EXPECT_EQ(exec::resolve_scheduler(), exec::SchedulerMode::WorkSteal);
-  unsetenv("ROOTSIM_SCHED");
-  EXPECT_EQ(to_string(exec::SchedulerMode::Static), "static");
-  EXPECT_EQ(to_string(exec::SchedulerMode::WorkSteal), "steal");
-}
-
-// Many tiny units across every scheduler shape: a TSan-visible stress of the
+// Many tiny units across every worker count: a TSan-visible stress of the
 // steal path (with units outnumbering workers 100:1, thieves and owners race
 // on the same slots constantly). Correctness bar stays exactly-once.
 TEST(ParallelFor, WorkStealStressManyTinyUnits) {
@@ -72,11 +43,10 @@ TEST(ParallelFor, WorkStealStressManyTinyUnits) {
   for (size_t workers : {2, 3, 8, 16}) {
     std::vector<std::atomic<int>> hits(kUnits);
     std::atomic<uint64_t> sum{0};
-    exec::parallel_for(kUnits, workers, exec::SchedulerMode::WorkSteal,
-                       [&](size_t unit, size_t) {
-                         hits[unit].fetch_add(1);
-                         sum.fetch_add(unit);
-                       });
+    exec::parallel_for(kUnits, workers, [&](size_t unit, size_t) {
+      hits[unit].fetch_add(1);
+      sum.fetch_add(unit);
+    });
     for (size_t unit = 0; unit < kUnits; ++unit)
       ASSERT_EQ(hits[unit].load(), 1) << unit << " @" << workers << " workers";
     EXPECT_EQ(sum.load(), uint64_t{kUnits} * (kUnits - 1) / 2);
@@ -90,6 +60,23 @@ TEST(ParallelFor, MoreWorkersThanUnitsAndZeroUnits) {
   bool ran = false;
   exec::parallel_for(0, 4, [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// Work stealing packs unit ranges into 32 bits: a multi-worker region of
+// 2^32 units is refused up front, before any unit runs — on both entry
+// points.
+TEST(ParallelFor, RejectsRegionsWorkStealingCannotPack) {
+  constexpr size_t kTooMany = size_t{1} << 32;
+  std::atomic<bool> ran{false};
+  EXPECT_THROW(
+      exec::parallel_for(kTooMany, 2, [&](size_t, size_t) { ran = true; }),
+      std::length_error);
+  exec::Profiler profiler;
+  EXPECT_THROW(exec::parallel_for(kTooMany, 4, &profiler,
+                                  [&](size_t, size_t) { ran = true; }),
+               std::length_error);
+  EXPECT_FALSE(ran.load());
+  EXPECT_EQ(profiler.unit_count(), 0u);
 }
 
 TEST(ResolveWorkers, RequestedThenEnvThenOne) {
@@ -164,9 +151,9 @@ TEST(MetricsMerge, CountersGaugesHistogramsFold) {
   shard.counter("only_in_shard");  // zero-valued: series must still appear
   main.gauge("g").set(5);
   shard.gauge("g").set(3);  // gauges are monotone: merge takes the max
-  main.histogram("h", {}, {1, 2}).observe(0.5);
-  shard.histogram("h", {}, {1, 2}).observe(1.5);
-  shard.histogram("h", {}, {1, 2}).observe(99);
+  main.histogram("h").observe(1);
+  shard.histogram("h").observe(5);
+  shard.histogram("h").observe(9000);
 
   main.merge_from(shard);
   EXPECT_EQ(main.counter_value("c", {{"k", "v"}}), 5u);
@@ -181,12 +168,15 @@ TEST(MetricsMerge, CountersGaugesHistogramsFold) {
       checked_gauge = true;
     }
     if (sample.name == "h") {
-      EXPECT_EQ(sample.count, 3u);
-      ASSERT_EQ(sample.buckets.size(), 3u);
-      EXPECT_EQ(sample.buckets[0], 1u);  // 0.5 <= 1
-      EXPECT_EQ(sample.buckets[1], 1u);  // 1.5 <= 2
-      EXPECT_EQ(sample.buckets[2], 1u);  // 99 -> +inf
-      EXPECT_DOUBLE_EQ(sample.value, 0.5 + 1.5 + 99);
+      EXPECT_EQ(sample.histogram.count(), 3u);
+      EXPECT_EQ(sample.histogram.sum(), 1u + 5u + 9000u);
+      EXPECT_EQ(sample.histogram.max(), 9000u);
+      auto buckets = sample.histogram.nonzero_buckets();
+      ASSERT_EQ(buckets.size(), 3u);
+      EXPECT_EQ(buckets[0].lower, 1u);  // unit buckets below 16 are exact
+      EXPECT_EQ(buckets[1].lower, 5u);
+      EXPECT_LE(buckets[2].lower, 9000u);
+      EXPECT_GT(buckets[2].upper, 9000u);
       checked_hist = true;
     }
   }
@@ -194,18 +184,18 @@ TEST(MetricsMerge, CountersGaugesHistogramsFold) {
   EXPECT_TRUE(checked_hist);
 }
 
-// Adversarially skewed unit durations: one unit costs ~100x the rest. Under
-// static sharding that unit's whole block lags; work stealing drains the rest
-// around it. Either way the *outputs* — metrics, trace, rssac002 — must be
-// byte-identical to a serial run for every worker count and every position of
-// the long pole, because obs shards are per unit and merge in unit order.
+// Adversarially skewed unit durations: one unit costs ~100x the rest, and
+// work stealing drains the rest of its block around it. The *outputs* —
+// metrics, trace, rssac002 — must be byte-identical to a serial run for every
+// worker count and every position of the long pole, because obs shards are
+// per unit and merge in unit order.
 class SkewedUnits : public ::testing::TestWithParam<size_t> {};
 
 std::string skewed_run(size_t workers, size_t units, size_t heavy_unit) {
   obs::Recorder main;
   exec::ObsShards shards(main.obs(), units);
   exec::parallel_for(
-      units, workers, exec::SchedulerMode::WorkSteal,
+      units, workers,
       [&](size_t unit, size_t) {
         obs::Obs sink = shards.shard(unit);
         uint64_t span = sink.tracer->begin_span(
@@ -254,12 +244,10 @@ INSTANTIATE_TEST_SUITE_P(HeavyUnitPositions, SkewedUnits,
 TEST(WorkSteal, SkewTriggersSteals) {
   constexpr size_t kUnits = 32;
   exec::Profiler profiler;
-  setenv("ROOTSIM_SCHED", "steal", 1);
   exec::parallel_for(kUnits, 4, &profiler, [&](size_t unit, size_t) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(unit == 0 ? 20000 : 200));
   });
-  unsetenv("ROOTSIM_SCHED");
   uint64_t total_steals = 0;
   for (const auto& report : profiler.worker_reports())
     total_steals += report.steal_count;
@@ -329,7 +317,8 @@ TEST(ZoneAudit, WorkerCountInvisibleInEveryOutput) {
 }
 
 // Same property with the *diagnostic* surfaces switched on: the exec-pool
-// profiler (via ROOTSIM_PROFILE) and a shared flight recorder must not leak
+// profiler (via ROOTSIM_PROFILE) and a shared flight recorder (one shard per
+// worker transport) must not leak
 // into any deterministic export for any worker count. The profiler's own
 // artifact and the flight ring are wall-clock/scheduling-ordered and are
 // deliberately not byte-compared — only their presence and totals are.
@@ -368,10 +357,10 @@ TEST(ZoneAudit, ByteIdenticalWithProfilerAndFlightRecorderEnabled) {
 
 // The SLO plane rides the same shard/merge path, so its exports inherit the
 // same acceptance bar: slo.jsonl and incidents.jsonl byte-identical at every
-// worker count under BOTH scheduler modes (and across the modes — the steal
-// schedule must be as invisible as the worker count). Shortened schedule
-// covering the b.root renumbering window keeps the test fast.
-TEST(SloTimeline, ExportsByteIdenticalAcrossWorkersAndSchedulers) {
+// worker count (the steal schedule must be as invisible as the worker
+// count). Shortened schedule covering the b.root renumbering window keeps
+// the test fast.
+TEST(SloTimeline, ExportsByteIdenticalAcrossWorkers) {
   measure::CampaignConfig config;
   config.zone.tld_count = 25;
   config.zone.rsa_modulus_bits = 512;
@@ -390,25 +379,16 @@ TEST(SloTimeline, ExportsByteIdenticalAcrossWorkersAndSchedulers) {
                                                result.incidents_jsonl);
   };
 
-  std::pair<std::string, std::string> reference;
-  for (const char* sched : {"steal", "static"}) {
-    setenv("ROOTSIM_SCHED", sched, 1);
-    auto serial = run(1);
-    ASSERT_FALSE(serial.first.empty()) << sched;
-    ASSERT_FALSE(serial.second.empty()) << sched;
-    if (reference.first.empty())
-      reference = serial;
-    else
-      EXPECT_EQ(serial, reference) << "scheduler mode leaked into the export";
-    for (size_t workers : {2u, 8u}) {
-      auto parallel = run(workers);
-      EXPECT_EQ(parallel.first, serial.first)
-          << sched << " slo.jsonl @" << workers << " workers";
-      EXPECT_EQ(parallel.second, serial.second)
-          << sched << " incidents.jsonl @" << workers << " workers";
-    }
+  auto serial = run(1);
+  ASSERT_FALSE(serial.first.empty());
+  ASSERT_FALSE(serial.second.empty());
+  for (size_t workers : {2u, 8u}) {
+    auto parallel = run(workers);
+    EXPECT_EQ(parallel.first, serial.first)
+        << "slo.jsonl @" << workers << " workers";
+    EXPECT_EQ(parallel.second, serial.second)
+        << "incidents.jsonl @" << workers << " workers";
   }
-  unsetenv("ROOTSIM_SCHED");
 }
 
 }  // namespace

@@ -79,8 +79,9 @@ TEST(Campaign, ZoneAuditBitflipsDetectedByZonemdWhenVerifiable) {
     if (obs.verdict != dnssec::ValidationStatus::BogusSignature) continue;
     // After 2023-12-06, ZONEMD is verifiable and must flag the corruption;
     // before that, the record is absent or unsupported.
-    if (obs.when >= util::make_time(2023, 12, 6, 20, 30))
+    if (obs.when >= util::make_time(2023, 12, 6, 20, 30)) {
       EXPECT_EQ(obs.zonemd, dnssec::ZonemdStatus::Mismatch);
+    }
   }
 }
 
@@ -141,6 +142,41 @@ TEST(Campaign, VpFallbackStandInsAreUniquePerPlannedVp) {
   for (const auto& [planned, stand_in] : planned_to_stand_in)
     distinct_stand_ins.insert(stand_in);
   EXPECT_EQ(distinct_stand_ins.size(), planned_to_stand_in.size());
+}
+
+// The audit runs exactly the campaign config's fault plan — here a trimmed,
+// edited plan no scenario ships — and fault_plan() hands that plan back.
+TEST(Campaign, ZoneAuditFollowsTheConfiguredFaultPlan) {
+  CampaignConfig config = fast_config();
+  std::vector<FaultEvent> plan;
+  for (size_t i = 0; i < config.fault_plan.size(); i += 3)
+    plan.push_back(config.fault_plan[i]);
+  ASSERT_GT(plan.size(), 2u);
+  ASSERT_LT(plan.size(), config.fault_plan.size());
+  plan[1].vp_id = 9999;  // no paper VP has this id; a stand-in probes for it
+  config.fault_plan = plan;
+  Campaign campaign(config);
+
+  ASSERT_EQ(campaign.fault_plan().size(), plan.size());
+  for (size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(campaign.fault_plan()[i].vp_id, plan[i].vp_id) << i;
+    EXPECT_EQ(campaign.fault_plan()[i].table2_vp_id, plan[i].table2_vp_id) << i;
+    EXPECT_EQ(campaign.fault_plan()[i].when, plan[i].when) << i;
+  }
+
+  std::multiset<int> planned_table2, audited_table2;
+  std::multiset<uint32_t> planned_vps, audited_vps;
+  for (const FaultEvent& event : plan) {
+    planned_table2.insert(event.table2_vp_id);
+    planned_vps.insert(event.vp_id);
+  }
+  for (const auto& obs : campaign.run_zone_audit(/*clean_samples=*/0)) {
+    audited_table2.insert(obs.table2_vp_id);
+    audited_vps.insert(obs.vp_id);
+  }
+  EXPECT_EQ(audited_table2, planned_table2);
+  EXPECT_EQ(audited_vps, planned_vps);
+  EXPECT_EQ(audited_vps.count(9999), 1u);
 }
 
 TEST(Campaign, LossyAuditIsIdenticalAcrossWorkerCounts) {

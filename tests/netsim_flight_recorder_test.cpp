@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "netsim/transport.h"
 #include "obs/obs.h"
 #include "rss/catalog.h"
@@ -16,10 +18,11 @@ namespace {
 TEST(FlightRecorder, RingEvictsOldestAndCountsDrops) {
   FlightRecorder recorder(2);
   EXPECT_EQ(recorder.capacity(), 2u);
+  FlightRecorder::Shard* shard = recorder.make_shards(1).front();
   for (uint32_t i = 0; i < 5; ++i) {
     FlightRecord record;
     record.vp_id = i;
-    recorder.record(record);
+    shard->record(record);
   }
   EXPECT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.recorded(), 5u);
@@ -30,6 +33,62 @@ TEST(FlightRecorder, RingEvictsOldestAndCountsDrops) {
   EXPECT_EQ(records[1].vp_id, 4u);
   recorder.clear();
   EXPECT_EQ(recorder.size(), 0u);
+}
+
+// Reads merge every shard by simulated send time and keep the newest
+// `capacity`; the failure summary folds every shard's cells.
+TEST(FlightRecorder, ReadsMergeShardsBySendTime) {
+  FlightRecorder recorder(3);
+  std::vector<FlightRecorder::Shard*> shards = recorder.make_shards(2);
+  ASSERT_EQ(shards.size(), 2u);
+  for (util::UnixTime when : {10, 30, 50}) {
+    FlightRecord record;
+    record.when = when;
+    record.root_index = 2;
+    record.cause = FlightRecord::Cause::Timeout;
+    shards[0]->record(record);
+  }
+  for (util::UnixTime when : {20, 40}) {
+    FlightRecord record;
+    record.when = when;
+    record.root_index = 2;
+    record.cause = FlightRecord::Cause::Timeout;
+    shards[1]->record(record);
+  }
+  auto records = recorder.records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].when, 30);
+  EXPECT_EQ(records[1].when, 40);
+  EXPECT_EQ(records[2].when, 50);
+  EXPECT_EQ(recorder.recorded(), 5u);
+  auto summary = recorder.failure_summary();
+  ASSERT_EQ(summary.entries.size(), 1u);
+  EXPECT_EQ(summary.entries[0].root_index, 2);
+  EXPECT_EQ(summary.entries[0].count, 5u);
+  EXPECT_EQ(summary.entries[0].first, 10);
+  EXPECT_EQ(summary.entries[0].last, 50);
+}
+
+// clear() empties the rings in place: shard pointers stay valid, and the
+// recorded() total and failure summary survive it.
+TEST(FlightRecorder, ClearKeepsShardsAndTotals) {
+  FlightRecorder recorder(4);
+  FlightRecorder::Shard* shard = recorder.make_shards(1).front();
+  FlightRecord failed;
+  failed.root_index = 0;
+  failed.cause = FlightRecord::Cause::Timeout;
+  failed.when = 5;
+  shard->record(failed);
+  recorder.clear();
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.recorded(), 1u);
+  ASSERT_EQ(recorder.failure_summary().entries.size(), 1u);
+  failed.when = 9;
+  shard->record(failed);  // the shard survived clear()
+  EXPECT_EQ(recorder.size(), 1u);
+  EXPECT_EQ(recorder.recorded(), 2u);
+  EXPECT_EQ(recorder.failure_summary().entries[0].count, 2u);
+  EXPECT_EQ(recorder.failure_summary().entries[0].last, 9);
 }
 
 TEST(FlightRecorder, CauseNames) {
@@ -53,7 +112,7 @@ TEST(FlightRecorder, JsonlCarriesTheCoordinatesAndCause) {
   record.qname = ".";
   record.qtype = 6;  // SOA
   record.time_ms = 10500.0;
-  recorder.record(record);
+  recorder.make_shards(1).front()->record(record);
   std::string jsonl = recorder.to_jsonl();
   for (const char* field :
        {"\"op\":\"query\"", "\"cause\":\"timeout\"", "\"vp\":12", "\"root\":1",
@@ -64,6 +123,7 @@ TEST(FlightRecorder, JsonlCarriesTheCoordinatesAndCause) {
 }
 
 // --- transport integration -------------------------------------------------
+// Each Transport built with a recorder registers its own shard.
 
 struct Fixture {
   rss::RootCatalog catalog;
@@ -258,6 +318,25 @@ TEST(FlightRecorder, AttachingTheRecorderDoesNotPerturbOutcomes) {
   }
   EXPECT_EQ(plain_obs.metrics().to_jsonl(), recorded_obs.metrics().to_jsonl());
   EXPECT_EQ(flight.recorded(), 12u);
+}
+
+// Two transports on one recorder write two shards; reads see both.
+TEST(FlightRecorder, EachTransportRecordsIntoItsOwnShard) {
+  Fixture f;
+  FlightRecorder flight(16);
+  TransportConfig config;
+  config.flight_recorder = &flight;
+  Transport first(*f.router, config);
+  Transport second(*f.router, config);
+  FakeEndpoint endpoint;
+  Transport::Path a = first.open_path(f.vp(), 0, util::IpFamily::V4, 0);
+  Transport::Path b = second.open_path(f.vp(), 1, util::IpFamily::V4, 0);
+  first.exchange(a, endpoint, small_query(), 200);
+  second.exchange(b, endpoint, small_query(), 100);
+  auto records = flight.records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].root_index, 1);  // earlier send time first
+  EXPECT_EQ(records[1].root_index, 0);
 }
 
 }  // namespace

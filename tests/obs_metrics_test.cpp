@@ -53,29 +53,20 @@ TEST(Gauge, SetAddAndSetMax) {
   EXPECT_DOUBLE_EQ(h.value(), 4.0);
 }
 
-TEST(Histogram, BucketsObservationsAtBoundaries) {
+TEST(LockedHistogram, RecordsIntoALogLinearHistogram) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50});
-  // A bound is an *upper* bound: observe(10) lands in the le10 bucket.
-  h.observe(3);
-  h.observe(10);
-  h.observe(10.001);
-  h.observe(50);
-  h.observe(51);
-  auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);  // 3 bounds + inf
-  EXPECT_EQ(buckets[0], 2u);      // 3, 10
-  EXPECT_EQ(buckets[1], 1u);      // 10.001
-  EXPECT_EQ(buckets[2], 1u);      // 50
-  EXPECT_EQ(buckets[3], 1u);      // 51 -> +inf
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_NEAR(h.sum(), 3 + 10 + 10.001 + 50 + 51, 1e-9);
-}
-
-TEST(Histogram, DefaultBoundsAreUsedWhenNoneGiven) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("latency");
-  EXPECT_EQ(h.bounds(), default_latency_bounds_ms());
+  LockedHistogram& h = registry.histogram("rtt_us", {{"family", "v4"}});
+  EXPECT_EQ(&registry.histogram("rtt_us", {{"family", "v4"}}), &h);
+  for (uint64_t v : {3u, 10u, 10u, 31250u}) h.observe(v);
+  LogLinearHistogram copy = h.value();
+  EXPECT_EQ(copy.count(), 4u);
+  EXPECT_EQ(copy.sum(), 3u + 10u + 10u + 31250u);
+  EXPECT_EQ(copy.max(), 31250u);
+  EXPECT_DOUBLE_EQ(copy.quantile(0.5), 10.5);  // inside unit bucket [10, 11)
+  // The copy is a snapshot: later observes do not reach it.
+  h.observe(7);
+  EXPECT_EQ(copy.count(), 4u);
+  EXPECT_EQ(h.value().count(), 5u);
 }
 
 TEST(Registry, SnapshotIsDeterministicallyOrdered) {
@@ -99,11 +90,12 @@ TEST(Registry, SnapshotIsDeterministicallyOrdered) {
 TEST(Registry, TextExportFormat) {
   MetricsRegistry registry;
   registry.counter("prober.queries", {{"rcode", "NOERROR"}}).inc(12);
-  registry.histogram("rtt_ms", {}, {10, 20}).observe(15);
+  registry.histogram("rtt_us").observe(15);
   std::string text = registry.to_text();
   EXPECT_NE(text.find("prober.queries{rcode=NOERROR} 12\n"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("rtt_ms count=1 sum=15.000 le10=0 le20=1 inf=0"),
+  // Quantiles interpolate inside the unit bucket [15, 16).
+  EXPECT_NE(text.find("rtt_us count=1 sum=15 p50=15.5 p90=15.9 p99=16.0\n"),
             std::string::npos)
       << text;
 }
@@ -114,6 +106,13 @@ TEST(Registry, JsonlExportFormat) {
   EXPECT_EQ(registry.to_jsonl(),
             "{\"metric\":\"c\",\"labels\":{\"k\":\"v\"},\"type\":\"counter\","
             "\"value\":7}\n");
+  // A histogram's value is the log-linear histogram's own JSON object.
+  MetricsRegistry histograms;
+  LockedHistogram& h = histograms.histogram("h");
+  h.observe(4);
+  EXPECT_EQ(histograms.to_jsonl(),
+            "{\"metric\":\"h\",\"type\":\"histogram\",\"value\":" +
+                h.value().to_json() + "}\n");
 }
 
 TEST(Registry, VolatileMetricsExcludedByDefault) {
@@ -130,93 +129,56 @@ TEST(Registry, VolatileMetricsExcludedByDefault) {
 TEST(Registry, ConcurrentIncrementsDoNotLose) {
   MetricsRegistry registry;
   Counter& c = registry.counter("hot");
-  Histogram& h = registry.histogram("hist", {}, {100});
+  LockedHistogram& h = registry.histogram("hist");
   constexpr int kThreads = 4, kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         c.inc();
-        h.observe(1.0);
+        h.observe(1000);
       }
     });
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread * 1.0);
+  const LogLinearHistogram totals = h.value();
+  EXPECT_EQ(totals.count(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(totals.sum(), static_cast<uint64_t>(kThreads) * kPerThread * 1000);
 }
 
-TEST(HistogramQuantile, InterpolatesWithinTheBucket) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50, 100});
-  // 100 uniform values in (10, 20]: the median must sit near 15, inside the
-  // bucket, not snapped to the 20 upper bound.
-  for (int i = 0; i < 100; ++i) h.observe(10.0 + (i + 0.5) * 0.1);
-  double p50 = h.quantile(0.5);
-  EXPECT_GT(p50, 10.0);
-  EXPECT_LT(p50, 20.0);
-  EXPECT_NEAR(p50, 15.0, 1.0);
-  // Everything below the first bound interpolates from a floor of 0.
-  Histogram& low = registry.histogram("low", {}, {8.0});
-  for (int i = 0; i < 10; ++i) low.observe(4.0);
-  EXPECT_GT(low.quantile(0.5), 0.0);
-  EXPECT_LE(low.quantile(0.5), 8.0);
-  // The +inf bucket cannot be interpolated: it reports the top finite bound.
-  Histogram& top = registry.histogram("top", {}, {10, 20});
-  top.observe(500);
-  EXPECT_DOUBLE_EQ(top.quantile(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(registry.histogram("empty", {}, {1.0}).quantile(0.5), 0.0);
-}
-
-// Satellite property: because merge_from adds buckets element-wise,
-// merge(a, b) quantiles are *exactly* the single-pass quantiles — not
+// Merging a shard registry adds buckets element-wise, so the merged
+// series' quantiles are *exactly* the single-pass quantiles — not
 // approximately, byte for byte on the double.
-TEST(HistogramQuantile, MergeEqualsSinglePass) {
-  const std::vector<double> bounds = {1, 2, 5, 10, 20, 50, 100, 200};
+TEST(LockedHistogram, RegistryMergeEqualsSinglePass) {
   MetricsRegistry single_reg, a_reg, b_reg;
-  Histogram& single = single_reg.histogram("h", {}, bounds);
-  Histogram& a = a_reg.histogram("h", {}, bounds);
-  Histogram& b = b_reg.histogram("h", {}, bounds);
+  LockedHistogram& single = single_reg.histogram("h");
+  LockedHistogram& a = a_reg.histogram("h");
+  LockedHistogram& b = b_reg.histogram("h");
   uint64_t state = 7;
   for (int i = 0; i < 4000; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    double value = static_cast<double>((state >> 33) % 2500) / 10.0;
+    const uint64_t value = (state >> 33) % 250000;
     single.observe(value);
     (i % 3 ? a : b).observe(value);
   }
-  a.merge_from(b);
-  ASSERT_EQ(a.count(), single.count());
-  for (double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_DOUBLE_EQ(a.quantile(q), single.quantile(q)) << "q=" << q;
-    EXPECT_DOUBLE_EQ(
-        histogram_quantile(a.bounds(), a.bucket_counts(), q),
-        histogram_quantile(single.bounds(), single.bucket_counts(), q))
-        << "q=" << q;
-  }
-}
-
-TEST(HistogramQuantile, SampleQuantileMatchesLiveHistogram) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("rtt", {}, {10, 20, 50});
-  for (int i = 0; i < 50; ++i) h.observe(12.0 + 0.1 * i);
-  auto samples = registry.snapshot();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(sample_quantile(samples[0], 0.5), h.quantile(0.5));
-  // Non-histogram samples have no quantile.
-  MetricSample counter_sample;
-  counter_sample.kind = MetricSample::Kind::Counter;
-  EXPECT_DOUBLE_EQ(sample_quantile(counter_sample, 0.5), 0.0);
+  a_reg.merge_from(b_reg);
+  const LogLinearHistogram merged = a.value();
+  const LogLinearHistogram reference = single.value();
+  ASSERT_EQ(merged.count(), reference.count());
+  EXPECT_EQ(merged.sum(), reference.sum());
+  for (double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_DOUBLE_EQ(merged.quantile(q), reference.quantile(q)) << "q=" << q;
+  EXPECT_EQ(a_reg.to_jsonl(), single_reg.to_jsonl());
 }
 
 TEST(NullSink, HelpersAreNoOps) {
   Obs null_sink;
   EXPECT_FALSE(null_sink.enabled());
-  null_sink.count("anything");                      // must not crash
-  null_sink.observe("h", {{"a", "b"}}, 1.0);        // must not crash
+  null_sink.count("anything");  // must not crash
   EXPECT_EQ(null_sink.counter_handle("x"), nullptr);
   EXPECT_EQ(null_sink.histogram_handle("x"), nullptr);
   inc(nullptr);
-  observe(nullptr, 3.0);
+  observe(nullptr, 3);
   RunReport report = RunReport::capture(null_sink);
   EXPECT_TRUE(report.metrics.empty());
   EXPECT_EQ(report.one_line(), "obs: (no samples recorded)");

@@ -177,8 +177,9 @@ TEST(NsecProof, NxdomainCarriesCoveringNsec) {
   // The proof actually covers the queried name.
   dns::Name qname = *dns::Name::parse("nonexistent-tld-zz.");
   EXPECT_LT(proof_owner.canonical_compare(qname), 0);
-  if (!proof->next.is_root())
+  if (!proof->next.is_root()) {
     EXPECT_LT(qname.canonical_compare(proof->next), 0);
+  }
   // And it is signed.
   bool signed_proof = false;
   for (const auto& rr : response.authority)

@@ -113,7 +113,9 @@ TEST(Collectors, IxpMixDominatedByKandD) {
   double k_share = shares.share[10], d_share = shares.share[3];
   EXPECT_GT(k_share + d_share, 0.35);
   for (size_t root = 0; root < 13; ++root)
-    if (root != 10 && root != 3) EXPECT_LT(shares.share[root], k_share);
+    if (root != 10 && root != 3) {
+      EXPECT_LT(shares.share[root], k_share);
+    }
 }
 
 TEST(Collectors, BrootTotalShareStableAcrossChange) {
