@@ -95,29 +95,48 @@ inline void print_run_report() {
 
 }  // namespace detail
 
+/// The shared recorder's work totals that BENCH_*.json reports. Take one
+/// reading before and one after the measured region and pass the
+/// difference: the recorder is cumulative over the whole process (warm-up
+/// runs, earlier worker counts), so raw totals over-count.
+struct WorkCounts {
+  uint64_t route_selections = 0;  ///< netsim.route_selections
+  uint64_t signatures = 0;        ///< dnssec.signatures_checked
+
+  static WorkCounts now() {
+    const auto& metrics = paper_recorder().metrics();
+    return {metrics.counter_total("netsim.route_selections"),
+            metrics.counter_total("dnssec.signatures_checked")};
+  }
+  WorkCounts operator-(const WorkCounts& before) const {
+    return {route_selections - before.route_selections,
+            signatures - before.signatures};
+  }
+};
+
 /// Machine-readable bench result: writes BENCH_<name>.json in the working
-/// directory with wall time and the throughput counters the perf acceptance
-/// criteria track (probe and signature-check rates from the shared recorder).
-/// Committed copies of these files live in the repo root next to
-/// EXPERIMENTS.md so perf changes leave an auditable trail. Host parallelism
-/// (`hardware_concurrency`) and the scheduler (always "steal") are recorded
-/// so tools/bench_compare.py can refuse wall-time comparisons across hosts
-/// instead of calling a slower machine a regression.
+/// directory with the measured region's wall time (`wall_ms` < 0 means
+/// "since print_header") and its work counts and rates. Committed copies of
+/// these files live in the repo root next to EXPERIMENTS.md so perf changes
+/// leave an auditable trail. Host parallelism (`hardware_concurrency`) and
+/// the scheduler (always "steal") are recorded so tools/bench_compare.py can
+/// refuse wall-time comparisons across hosts instead of calling a slower
+/// machine a regression.
 /// `extra` (optional) is pre-rendered JSON appended as additional top-level
 /// fields — e.g. a "deterministic" object of seed-pure counters that
 /// tools/bench_compare.py diffs exactly. Pass without leading comma, e.g.
 /// `"\"deterministic\": {\"probes\": 42}"`.
 inline void write_bench_json(const std::string& name, size_t threads,
-                             double wall_ms = -1,
+                             double wall_ms, const WorkCounts& work,
                              const std::string& extra = "") {
   if (wall_ms < 0)
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - detail::bench_start())
                   .count();
-  const auto& metrics = paper_recorder().metrics();
-  uint64_t probes = metrics.counter_total("netsim.route_selections");
-  uint64_t signatures = metrics.counter_total("dnssec.signatures_checked");
   double seconds = wall_ms / 1000.0;
+  auto rate = [seconds](uint64_t count) {
+    return seconds > 0 ? static_cast<double>(count) / seconds : 0.0;
+  };
   std::string path = "BENCH_" + name + ".json";
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (!out) return;
@@ -125,19 +144,19 @@ inline void write_bench_json(const std::string& name, size_t threads,
                "{\n"
                "  \"bench\": \"%s\",\n"
                "  \"wall_ms\": %.3f,\n"
-               "  \"probes\": %llu,\n"
-               "  \"probes_per_s\": %.1f,\n"
+               "  \"route_selections\": %llu,\n"
+               "  \"route_selections_per_s\": %.1f,\n"
                "  \"signatures\": %llu,\n"
                "  \"signatures_per_s\": %.1f,\n"
                "  \"threads\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"sched\": \"steal\"",
                name.c_str(), wall_ms,
-               static_cast<unsigned long long>(probes),
-               seconds > 0 ? static_cast<double>(probes) / seconds : 0.0,
-               static_cast<unsigned long long>(signatures),
-               seconds > 0 ? static_cast<double>(signatures) / seconds : 0.0,
-               threads, std::thread::hardware_concurrency());
+               static_cast<unsigned long long>(work.route_selections),
+               rate(work.route_selections),
+               static_cast<unsigned long long>(work.signatures),
+               rate(work.signatures), threads,
+               std::thread::hardware_concurrency());
   if (!extra.empty()) std::fprintf(out, ",\n  %s", extra.c_str());
   std::fprintf(out, "\n}\n");
   std::fclose(out);

@@ -34,9 +34,7 @@ int main() {
 
   double serial_ms = 0;
   for (size_t workers : {1, 2, 4, 8}) {
-    const auto& metrics = bench::paper_recorder().metrics();
-    uint64_t probes_before = metrics.counter_total("netsim.route_selections");
-    uint64_t sigs_before = metrics.counter_total("dnssec.signatures_checked");
+    const bench::WorkCounts before = bench::WorkCounts::now();
     auto start = std::chrono::steady_clock::now();
     auto observations = campaign.run_zone_audit(kCleanSamples, workers);
     double wall_ms = std::chrono::duration<double, std::milli>(
@@ -60,10 +58,7 @@ int main() {
     }
 
     double seconds = wall_ms / 1000.0;
-    uint64_t probes =
-        metrics.counter_total("netsim.route_selections") - probes_before;
-    uint64_t sigs =
-        metrics.counter_total("dnssec.signatures_checked") - sigs_before;
+    const bench::WorkCounts work = bench::WorkCounts::now() - before;
     // Parallel efficiency vs the same-host serial run, normalized by the
     // parallelism the host can actually deliver: on a 1-core container 8
     // workers can only tie the serial run (efficiency ~1.0 = no scheduler
@@ -72,10 +67,11 @@ int main() {
         static_cast<double>(std::min<size_t>(workers, hw));
     const double efficiency = serial_ms / (wall_ms * effective_workers);
     std::printf("%8zu %12.1f %9.2fx %11.2f %14.0f %16.0f\n", workers, wall_ms,
-                serial_ms / wall_ms, efficiency, probes / seconds,
-                sigs / seconds);
+                serial_ms / wall_ms, efficiency,
+                static_cast<double>(work.route_selections) / seconds,
+                static_cast<double>(work.signatures) / seconds);
     bench::write_bench_json("exec_scaling_w" + std::to_string(workers),
-                            workers, wall_ms);
+                            workers, wall_ms, work);
   }
   std::printf("\nall worker counts produced identical audit rows\n");
   return 0;

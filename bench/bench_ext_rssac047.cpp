@@ -24,6 +24,7 @@ int main() {
   bench::print_header(
       "Extension — streaming RSSAC047 SLO monitor + cluster-failure what-if",
       "The Roots Go Deep §1 (RSSAC037 framing) + §4 (b.root, ZONEMD) + §5");
+  const bench::WorkCounts start_counts = bench::WorkCounts::now();
   const measure::Campaign& campaign = bench::paper_campaign();
 
   // --- The streaming monitor over the full paper timeline. ---
@@ -140,7 +141,10 @@ int main() {
       timeline.windows.size(), timeline.incidents.size(),
       incidents_by_metric["availability"], incidents_by_metric["integrity"],
       std::floor(10000.0 * report.worst_availability));
+  // The measured region is the whole bench (wall_ms -1: since
+  // print_header), so the counts are taken from the same instant.
   bench::write_bench_json("rssac047", exec::resolve_workers(0), -1,
+                          bench::WorkCounts::now() - start_counts,
                           deterministic);
   return 0;
 }

@@ -70,6 +70,7 @@ int main() {
   std::printf("%-8s %12s %14s %12s %10s %10s %12s\n", "loss", "exchanges",
               "exchanges/s", "udp sends", "timeouts", "tcp-fb", "MB on wire");
   double total_wall_ms = 0;
+  const bench::WorkCounts before = bench::WorkCounts::now();
   for (double loss : {0.0, 0.01, 0.10}) {
     LossPoint point = run_point(campaign, loss, kProbes);
     total_wall_ms += point.wall_ms;
@@ -86,6 +87,7 @@ int main() {
                 static_cast<double>(point.wire_bytes) / (1024.0 * 1024.0));
   }
 
-  bench::write_bench_json("transport", 1, total_wall_ms);
+  bench::write_bench_json("transport", 1, total_wall_ms,
+                          bench::WorkCounts::now() - before);
   return 0;
 }

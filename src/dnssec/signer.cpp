@@ -1,6 +1,7 @@
 #include "dnssec/signer.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "crypto/sha2.h"
 #include "dnssec/canonical.h"
@@ -56,29 +57,48 @@ SignatureCache::SignatureCache(size_t max_entries)
 std::vector<uint8_t> SignatureCache::sign(const crypto::RsaSignContext& ctx,
                                           std::span<const uint8_t> key_id,
                                           crypto::RsaHash hash,
-                                          std::span<const uint8_t> payload) {
+                                          std::span<const uint8_t> payload,
+                                          SignStats* stats) {
   crypto::Sha256 h;
   h.update(key_id);
   h.update(payload);
   auto digest = h.finish();
   std::string lookup(reinterpret_cast<const char*>(digest.data()),
                      digest.size());
+  std::optional<std::promise<std::vector<uint8_t>>> claim;
+  Signature found;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(lookup);
     if (it != entries_.end()) {
       ++hits_;
-      return it->second;
+      if (stats) ++stats->hits;
+      found = it->second;
+    } else {
+      ++misses_;
+      if (stats) ++stats->misses;
+      if (entries_.size() >= max_entries_) {
+        entries_.clear();
+        ++resets_;
+        if (stats) ++stats->resets;
+      }
+      entries_.emplace(lookup, claim.emplace().get_future().share());
     }
   }
-  // Sign outside the lock; a concurrent miss on the same payload computes
-  // the same bytes, so whichever insert wins is correct.
-  std::vector<uint8_t> signature = ctx.sign(hash, payload);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++misses_;
-  if (entries_.size() >= max_entries_) entries_.clear();
-  entries_.emplace(std::move(lookup), signature);
-  return signature;
+  // A hit may find the entry still in flight; it waits for that signer.
+  if (found.valid()) return found.get();
+  // This lookup claimed the payload: sign outside the lock, then publish.
+  try {
+    std::vector<uint8_t> signature = ctx.sign(hash, payload);
+    claim->set_value(signature);
+    return signature;
+  } catch (...) {
+    // Waiters rethrow; dropping the entry lets a later lookup sign afresh.
+    claim->set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.erase(lookup);
+    throw;
+  }
 }
 
 uint64_t SignatureCache::hits() const {
@@ -89,6 +109,11 @@ uint64_t SignatureCache::hits() const {
 uint64_t SignatureCache::misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return misses_;
+}
+
+uint64_t SignatureCache::resets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return resets_;
 }
 
 size_t SignatureCache::size() const {
@@ -129,7 +154,7 @@ struct ZoneSigner {
 
 dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
                           const SigningPolicy& policy, const dns::Name& apex,
-                          SignatureCache* cache) {
+                          SignatureCache* cache, SignStats* stats) {
   dns::RrsigData sig;
   sig.type_covered = rrset.type;
   sig.algorithm = signer.key->algorithm;
@@ -141,7 +166,7 @@ dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
   sig.signer = apex;
   auto payload = signing_payload(sig, rrset);
   sig.signature = cache ? cache->sign(signer.ctx, signer.identity, signer.hash,
-                                      payload)
+                                      payload, stats)
                         : signer.ctx.sign(signer.hash, payload);
   return sig;
 }
@@ -197,7 +222,8 @@ std::vector<uint8_t> compute_zonemd_digest(const dns::Zone& zone,
 }
 
 void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
-               const SigningPolicy& policy, SignatureCache* cache) {
+               const SigningPolicy& policy, SignatureCache* cache,
+               SignStats* stats) {
   const dns::Name& apex = zone.origin();
   const ZoneSigner ksk_signer(ksk);
   const ZoneSigner zsk_signer(zsk);
@@ -291,7 +317,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     }
     const ZoneSigner& signer =  // KSK signs DNSKEY only
         (set->type == dns::RRType::DNSKEY) ? ksk_signer : zsk_signer;
-    dns::RrsigData sig = sign_rrset(*set, signer, policy, apex, cache);
+    dns::RrsigData sig = sign_rrset(*set, signer, policy, apex, cache, stats);
     dns::ResourceRecord rr;
     rr.name = set->name;
     rr.type = dns::RRType::RRSIG;
@@ -332,7 +358,8 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
         zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
                                      sig_ttl, rdata});
       const dns::RRset* zonemd_set = zone.find(apex, dns::RRType::ZONEMD);
-      dns::RrsigData sig = sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache);
+      dns::RrsigData sig = sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache,
+                                       stats);
       zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
                                    zonemd_set->ttl, sig});
     }

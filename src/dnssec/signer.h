@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -46,6 +47,15 @@ struct SigningPolicy {
   std::vector<dns::DnskeyData> extra_dnskeys;
 };
 
+/// Per-call hit/miss tally: sign_zone adds the lookups it made to `stats`,
+/// so a caller can attribute counters to its own call while other threads
+/// share the cache.
+struct SignStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t resets = 0;  ///< wholesale clears this call's misses triggered
+};
+
 /// Memoizes RRSIG signature bytes across sign_zone calls.
 ///
 /// The root zone re-signs ~every 12 hours, but most RRsets (delegations,
@@ -60,34 +70,44 @@ struct SigningPolicy {
 /// invalidate by construction, and a hit can only ever return bytes a
 /// cold sign of the identical payload would produce.
 ///
-/// Thread-safe. Hit/miss totals are scheduling-independent as long as the
-/// entry bound is not reached (the set of distinct payloads signed is a
-/// property of the workload, not of signing order), which keeps the
-/// `rss.sig_cache.*` counters byte-identical across worker counts.
+/// Thread-safe, with in-flight cells: the first lookup of a payload claims
+/// its entry under the lock (a pending future) and signs outside it; a
+/// concurrent lookup of the same payload counts as a hit and waits on that
+/// future instead of signing again. So `misses` equals the number of
+/// distinct payloads and `hits` the remaining lookups in any schedule —
+/// exact totals, the same at every worker count — while `resets` is 0.
+/// At `max_entries` the cache clears wholesale and counts a reset; past a
+/// reset, which payloads are re-signed depends on lookup order, so the
+/// totals are exact only while resets == 0.
 class SignatureCache {
  public:
   explicit SignatureCache(size_t max_entries = 1 << 16);
 
   /// Returns the cached signature for (key identity, payload), or signs via
   /// `ctx` and caches. `key_id` must uniquely identify the signing key (the
-  /// DNSKEY RDATA wire form).
+  /// DNSKEY RDATA wire form). `stats` (optional) tallies this lookup.
   std::vector<uint8_t> sign(const crypto::RsaSignContext& ctx,
                             std::span<const uint8_t> key_id,
                             crypto::RsaHash hash,
-                            std::span<const uint8_t> payload);
+                            std::span<const uint8_t> payload,
+                            SignStats* stats = nullptr);
 
   uint64_t hits() const;
   uint64_t misses() const;
+  uint64_t resets() const;
   size_t size() const;
   size_t max_entries() const { return max_entries_; }
   void clear();
 
  private:
+  using Signature = std::shared_future<std::vector<uint8_t>>;
+
   mutable std::mutex mu_;
   size_t max_entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::unordered_map<std::string, std::vector<uint8_t>> entries_;
+  uint64_t resets_ = 0;
+  std::unordered_map<std::string, Signature> entries_;
 };
 
 /// Signs `zone` in place: strips old NSEC/RRSIG/ZONEMD/DNSKEY, installs the
@@ -95,9 +115,11 @@ class SignatureCache {
 /// Delegation NS RRsets and glue are not signed (RFC 4035 §2.2) — exactly the
 /// gap ZONEMD closes and the reason the paper calls it valuable.
 /// With `cache` non-null, unchanged RRsets reuse previously computed
-/// signature bytes instead of re-running the RSA kernel.
+/// signature bytes instead of re-running the RSA kernel, and `stats`
+/// (optional) receives this call's cache hits, misses and resets.
 void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
-               const SigningPolicy& policy, SignatureCache* cache = nullptr);
+               const SigningPolicy& policy, SignatureCache* cache = nullptr,
+               SignStats* stats = nullptr);
 
 /// Computes the RFC 8976 SIMPLE/SHA-384 digest over the zone (ignoring the
 /// apex ZONEMD RRset's RRSIG and zeroing nothing: the caller must pass a zone

@@ -160,8 +160,10 @@ void parallel_for(size_t unit_count, size_t workers, Profiler* profiler,
       unit_count, effective,
       [&](size_t unit, size_t worker) {
         const double begin_ms = profiler->now_ms();
+        const double begin_cpu_ms = Profiler::thread_cpu_ms();
         fn(unit, worker);
-        profiler->unit_done(unit, worker, begin_ms, profiler->now_ms());
+        profiler->unit_done(unit, worker, begin_ms, profiler->now_ms(),
+                            Profiler::thread_cpu_ms() - begin_cpu_ms);
       },
       steals.data());
   for (size_t w = 0; w < effective; ++w) profiler->note_steals(w, steals[w]);

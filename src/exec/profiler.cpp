@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 #include "util/strings.h"
@@ -23,6 +24,13 @@ std::string Profiler::env_output_path() {
   return env;
 }
 
+double Profiler::thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 void Profiler::begin_region(size_t unit_count, size_t workers) {
   workers_ = std::max<size_t>(workers, 1);
   units_.assign(unit_count, UnitSpan{});
@@ -36,13 +44,14 @@ void Profiler::note_steals(size_t worker, uint64_t count) {
 }
 
 void Profiler::unit_done(size_t unit, size_t shard, double begin_ms,
-                         double end_ms) {
+                         double end_ms, double cpu_ms) {
   if (unit >= units_.size()) return;
   UnitSpan& span = units_[unit];
   span.shard = static_cast<uint32_t>(shard);
   span.recorded = true;
   span.begin_ms = begin_ms;
   span.end_ms = end_ms;
+  span.cpu_ms = cpu_ms;
 }
 
 void Profiler::add_unit_sim_ms(size_t unit, double sim_ms) {
@@ -62,6 +71,7 @@ std::vector<Profiler::WorkerReport> Profiler::worker_reports() const {
       report.first_begin_ms = span.begin_ms;
     report.last_end_ms = std::max(report.last_end_ms, span.end_ms);
     report.busy_ms += span.end_ms - span.begin_ms;
+    report.cpu_ms += span.cpu_ms;
     report.sim_ms += span.sim_ms;
     ++report.units;
   }
@@ -69,6 +79,8 @@ std::vector<Profiler::WorkerReport> Profiler::worker_reports() const {
   for (WorkerReport& report : reports) {
     report.utilization = wall > 0 ? report.busy_ms / wall : 0;
     report.idle_ms = std::max(0.0, wall - report.busy_ms);
+    // Clock granularity can put a span's CPU a hair above its wall time.
+    report.blocked_ms = std::max(0.0, report.busy_ms - report.cpu_ms);
     if (report.worker < steals_.size())
       report.steal_count = steals_[report.worker];
   }
@@ -77,10 +89,11 @@ std::vector<Profiler::WorkerReport> Profiler::worker_reports() const {
 
 std::string Profiler::to_json() const {
   const auto reports = worker_reports();
-  double total_busy = 0, critical_path = 0, last_end = 0;
+  double total_busy = 0, total_blocked = 0, critical_path = 0, last_end = 0;
   size_t recorded = 0;
   for (const WorkerReport& report : reports) {
     total_busy += report.busy_ms;
+    total_blocked += report.blocked_ms;
     critical_path = std::max(critical_path, report.busy_ms);
     last_end = std::max(last_end, report.last_end_ms);
     recorded += report.units;
@@ -94,8 +107,9 @@ std::string Profiler::to_json() const {
       recorded > 0 ? std::max(0.0, region_end_ms_ - last_end) : 0;
   std::string out = "{\"schema\":\"rootsim-exec-profile/2\",\"summary\":{";
   out += util::format(
-      "\"workers\":%zu,\"units\":%zu,\"wall_ms\":%.3f,\"total_busy_ms\":%.3f",
-      workers_, recorded, wall, total_busy);
+      "\"workers\":%zu,\"units\":%zu,\"wall_ms\":%.3f,\"total_busy_ms\":%.3f"
+      ",\"total_blocked_ms\":%.3f",
+      workers_, recorded, wall, total_busy, total_blocked);
   out += util::format(
       ",\"critical_path_ms\":%.3f,\"parallel_efficiency\":%.4f,"
       "\"imbalance\":%.4f",
@@ -113,10 +127,12 @@ std::string Profiler::to_json() const {
     if (w) out += ",";
     out += util::format(
         "{\"worker\":%zu,\"units\":%zu,\"busy_ms\":%.3f,"
+        "\"cpu_ms\":%.3f,\"blocked_ms\":%.3f,"
         "\"first_begin_ms\":%.3f,\"last_end_ms\":%.3f,"
         "\"utilization\":%.4f,\"idle_ms\":%.3f,\"steal_count\":%llu,"
         "\"sim_ms\":%.3f}",
-        report.worker, report.units, report.busy_ms, report.first_begin_ms,
+        report.worker, report.units, report.busy_ms, report.cpu_ms,
+        report.blocked_ms, report.first_begin_ms,
         report.last_end_ms, report.utilization, report.idle_ms,
         static_cast<unsigned long long>(report.steal_count), report.sim_ms);
   }

@@ -12,6 +12,10 @@
 // environment) the engine takes the exact pre-existing code path — callers
 // pass nullptr and pay one branch.
 //
+// Each unit span carries the worker thread's CPU time over the same span
+// (CLOCK_THREAD_CPUTIME_ID), so wall − CPU separates time a worker spent
+// blocked (on a lock, a once-cell, or preemption) from time it worked.
+//
 // Recording is slot-addressed like the engine's result vectors: unit i writes
 // units_[i], distinct units never share a slot, and the region's thread join
 // provides the happens-before edge for the final read — no locks on the hot
@@ -42,15 +46,20 @@ class Profiler {
     return std::chrono::duration<double, std::milli>(Clock::now() - origin_)
         .count();
   }
+  /// CPU milliseconds the calling thread has consumed
+  /// (CLOCK_THREAD_CPUTIME_ID); only differences are meaningful.
+  static double thread_cpu_ms();
 
   /// Opens a profiled region of `unit_count` slot-addressed units running on
   /// `workers` workers. Clears any previous region.
   void begin_region(size_t unit_count, size_t workers);
   /// Records how many times worker `worker` stole from a victim's range.
   void note_steals(size_t worker, uint64_t count);
-  /// Records unit `unit`'s wall span on worker `shard`. Slot-addressed:
-  /// callers pass distinct units, so no synchronization is needed.
-  void unit_done(size_t unit, size_t shard, double begin_ms, double end_ms);
+  /// Records unit `unit`'s wall span on worker `shard` and the thread CPU
+  /// time `cpu_ms` the worker consumed inside it. Slot-addressed: callers
+  /// pass distinct units, so no synchronization is needed.
+  void unit_done(size_t unit, size_t shard, double begin_ms, double end_ms,
+                 double cpu_ms);
   /// Attributes simulated transport time to a unit (how much *simulated*
   /// work the unit represented, vs the wall time it cost).
   void add_unit_sim_ms(size_t unit, double sim_ms);
@@ -66,6 +75,8 @@ class Profiler {
     size_t worker = 0;
     size_t units = 0;
     double busy_ms = 0;       ///< sum of unit wall spans
+    double cpu_ms = 0;        ///< thread CPU time inside those spans
+    double blocked_ms = 0;    ///< busy_ms - cpu_ms: off CPU inside a unit
     double first_begin_ms = 0;
     double last_end_ms = 0;
     double utilization = 0;   ///< busy_ms / region wall_ms
@@ -78,8 +89,9 @@ class Profiler {
   /// The whole audit as one JSON object:
   ///   {"schema":"rootsim-exec-profile/2","summary":{...},
   ///    "per_worker":[...],"units":[[unit,worker,begin,end,sim],...]}
-  /// summary carries workers/units/wall_ms/total_busy_ms/critical_path_ms/
-  /// parallel_efficiency/imbalance/tail_ms/sched/hardware_concurrency (sched
+  /// summary carries workers/units/wall_ms/total_busy_ms/total_blocked_ms/
+  /// critical_path_ms/parallel_efficiency/imbalance/tail_ms/sched/
+  /// hardware_concurrency (sched
   /// is always "steal", the engine's only scheduler) —
   /// critical path is the busiest worker's span sum; imbalance is critical
   /// path over mean worker busy time (1.0 = perfectly balanced); tail_ms is
@@ -97,6 +109,7 @@ class Profiler {
     bool recorded = false;
     double begin_ms = 0;
     double end_ms = 0;
+    double cpu_ms = 0;
     double sim_ms = 0;
   };
 

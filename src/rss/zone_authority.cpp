@@ -44,6 +44,7 @@ ZoneAuthority::ZoneAuthority(const RootCatalog& catalog, ZoneAuthorityConfig con
     zones_built_ = obs.counter_handle("rss.zones_built");
     sig_cache_hits_ = obs.counter_handle("rss.sig_cache.hits");
     sig_cache_misses_ = obs.counter_handle("rss.sig_cache.misses");
+    sig_cache_resets_ = obs.counter_handle("rss.sig_cache.resets");
     zone_serial_ = &obs.metrics->gauge("rss.zone_serial");
   }
   if (config_.signature_cache_entries > 0)
@@ -145,12 +146,13 @@ dns::Zone ZoneAuthority::build_unsigned_zone(util::UnixTime t) const {
   return zone;
 }
 
-const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
-  uint32_t serial = serial_at(t);
+ZoneAuthority::Cell& ZoneAuthority::cell(uint32_t serial) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(serial);
-  if (it != cache_.end()) return *it->second;
+  return cells_[serial];
+}
 
+dns::Zone ZoneAuthority::build_signed_zone(util::UnixTime t,
+                                           dnssec::SignStats* stats) const {
   dns::Zone zone = build_unsigned_zone(t);
   dnssec::SigningPolicy policy;
   // Inception at the zone edit, expiration ~2 weeks later — like the root.
@@ -175,33 +177,34 @@ const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
       policy.extra_dnskeys.push_back(ksk_next_.to_dnskey());
     }
   }
+  dnssec::sign_zone(zone, *active_ksk, zsk_, policy, signature_cache_.get(),
+                    stats);
+  return zone;
+}
 
-  const uint64_t hits_before =
-      signature_cache_ ? signature_cache_->hits() : 0;
-  const uint64_t misses_before =
-      signature_cache_ ? signature_cache_->misses() : 0;
-  dnssec::sign_zone(zone, *active_ksk, zsk_, policy, signature_cache_.get());
-  if (signature_cache_) {
-    obs::inc(sig_cache_hits_, signature_cache_->hits() - hits_before);
-    obs::inc(sig_cache_misses_, signature_cache_->misses() - misses_before);
-  }
-
-  auto [inserted, ok] = cache_.emplace(serial, std::make_unique<dns::Zone>(std::move(zone)));
-  obs::inc(zones_built_);
-  if (zone_serial_) zone_serial_->set_max(serial);
-  return *inserted->second;
+const dns::Zone& ZoneAuthority::zone_at(util::UnixTime t) const {
+  const uint32_t serial = serial_at(t);
+  Cell& slot = cell(serial);
+  std::call_once(slot.zone_once, [&] {
+    dnssec::SignStats stats;
+    slot.zone.emplace(build_signed_zone(t, &stats));
+    obs::inc(sig_cache_hits_, stats.hits);
+    obs::inc(sig_cache_misses_, stats.misses);
+    obs::inc(sig_cache_resets_, stats.resets);
+    obs::inc(zones_built_);
+    if (zone_serial_) zone_serial_->set_max(serial);
+  });
+  return *slot.zone;
 }
 
 const std::vector<uint8_t>& ZoneAuthority::axfr_stream_at(util::UnixTime t) const {
   const dns::Zone& zone = zone_at(t);
-  uint32_t serial = serial_at(t);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = axfr_cache_.find(serial);
-  if (it != axfr_cache_.end()) return *it->second;
-  dns::Question question{dns::Name(), dns::RRType::AXFR, dns::RRClass::IN};
-  auto stream = std::make_unique<std::vector<uint8_t>>(
-      dns::encode_axfr_stream(zone.axfr_records(), question));
-  return *axfr_cache_.emplace(serial, std::move(stream)).first->second;
+  Cell& slot = cell(serial_at(t));
+  std::call_once(slot.axfr_once, [&] {
+    dns::Question question{dns::Name(), dns::RRType::AXFR, dns::RRClass::IN};
+    slot.axfr = dns::encode_axfr_stream(zone.axfr_records(), question);
+  });
+  return slot.axfr;
 }
 
 dnssec::TrustAnchors ZoneAuthority::trust_anchors() const {

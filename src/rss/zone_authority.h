@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,10 +51,12 @@ struct ZoneAuthorityConfig {
   util::UnixTime ksk_roll_at = 0;
   /// RRSIG validity window length (the root uses ~2 weeks).
   int64_t rrsig_validity_days = 14;
-  /// Signature memo bound (entries). The audit workloads sign a few thousand
-  /// distinct payloads; keep the bound far above that so hit/miss totals stay
-  /// scheduling-independent (the cache never resets mid-campaign). 0 disables
-  /// the cache entirely.
+  /// Signature memo bound (entries). At the bound the memo clears wholesale
+  /// and counts `rss.sig_cache.resets`; past a reset the hit/miss split
+  /// depends on the schedule. The perfbench `table2-audit` workload (42
+  /// serials, about 18k distinct payloads) stays below the bound; the full
+  /// 400-sample Table 2 audit (229 serials) signs about 85k and resets once.
+  /// 0 disables the cache entirely.
   size_t signature_cache_entries = 1 << 16;
 };
 
@@ -68,15 +71,16 @@ class ZoneAuthority {
   /// The serial in force at time `t` (YYYYMMDDNN, two increments per day).
   uint32_t serial_at(util::UnixTime t) const;
 
-  /// The signed zone as published at time `t`. Zones are generated lazily
-  /// and cached per serial; the cache is thread-safe (the parallel audit
-  /// hits it from every worker).
+  /// The signed zone as published at time `t`. Zones are generated lazily,
+  /// once per serial, and cached. Thread-safe: different serials build
+  /// concurrently, and callers asking for a serial that is being built wait
+  /// for that build alone.
   const dns::Zone& zone_at(util::UnixTime t) const;
 
   /// The framed AXFR TCP stream (RFC 5936) of the zone at `t`, built once
-  /// per serial and cached. A transfer is then a read of this buffer instead
-  /// of a fresh ~450-record encode; fault injection decodes and mutates its
-  /// own copy, never the cached image.
+  /// per serial and cached like the zone. A transfer is then a read of this
+  /// buffer instead of a fresh ~450-record encode; fault injection decodes
+  /// and mutates its own copy, never the cached image.
   const std::vector<uint8_t>& axfr_stream_at(util::UnixTime t) const;
 
   /// Trust anchors (the KSK+ZSK DNSKEYs, plus the successor KSK when a
@@ -87,7 +91,7 @@ class ZoneAuthority {
   const std::vector<std::string>& tlds() const { return tlds_; }
 
   /// The cross-serial signature memo (null when disabled by config).
-  /// Counters `rss.sig_cache.hits` / `rss.sig_cache.misses` mirror it.
+  /// Counters `rss.sig_cache.hits` / `.misses` / `.resets` mirror it.
   const dnssec::SignatureCache* signature_cache() const {
     return signature_cache_.get();
   }
@@ -96,7 +100,20 @@ class ZoneAuthority {
   dnssec::SigningPolicy::ZonemdMode zonemd_mode_at(util::UnixTime t) const;
 
  private:
+  /// One serial's cache slot. Each once_flag guards its payload: the first
+  /// caller builds it outside the map lock, concurrent callers of the same
+  /// serial wait on the flag, and a build that throws leaves the flag unset
+  /// so the next caller retries.
+  struct Cell {
+    std::once_flag zone_once;
+    std::optional<dns::Zone> zone;
+    std::once_flag axfr_once;
+    std::vector<uint8_t> axfr;
+  };
+
+  Cell& cell(uint32_t serial) const;
   dns::Zone build_unsigned_zone(util::UnixTime t) const;
+  dns::Zone build_signed_zone(util::UnixTime t, dnssec::SignStats* stats) const;
 
   const RootCatalog* catalog_;
   ZoneAuthorityConfig config_;
@@ -110,14 +127,15 @@ class ZoneAuthority {
   obs::Counter* zones_built_ = nullptr;
   obs::Counter* sig_cache_hits_ = nullptr;
   obs::Counter* sig_cache_misses_ = nullptr;
+  obs::Counter* sig_cache_resets_ = nullptr;
   obs::Gauge* zone_serial_ = nullptr;
   std::unique_ptr<dnssec::SignatureCache> signature_cache_;
-  // Zone build + insert happens under the lock: std::map nodes are stable,
-  // so returned references stay valid, and `rss.zones_built` counts exactly
-  // one build per serial regardless of worker count.
+  // The lock guards only finding or creating a cell; builds run outside it.
+  // std::map nodes are stable, so returned references stay valid, and
+  // `rss.zones_built` counts exactly one build per serial at any worker
+  // count because it is bumped inside the cell's once.
   mutable std::mutex cache_mu_;
-  mutable std::map<uint32_t, std::unique_ptr<dns::Zone>> cache_;
-  mutable std::map<uint32_t, std::unique_ptr<std::vector<uint8_t>>> axfr_cache_;
+  mutable std::map<uint32_t, Cell> cells_;
 };
 
 }  // namespace rootsim::rss

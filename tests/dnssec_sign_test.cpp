@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "dnssec/canonical.h"
 #include "dnssec/signer.h"
 #include "dnssec/validator.h"
@@ -411,6 +415,68 @@ TEST(SignatureCache, BoundedAndDirectSignMatchesContext) {
   cache.sign(ctx, other_key_id, crypto::RsaHash::Sha256, payload_a);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_LE(cache.size(), cache.max_entries());
+}
+
+// Concurrent lookups of one payload: the first claims an in-flight cell and
+// signs, the rest count as hits and wait for its bytes. So the payload is
+// signed once (misses == 1) in any schedule, and every caller gets the
+// bytes a direct rsa_sign produces.
+TEST(SignatureCache, ConcurrentIdenticalMissesSignOnce) {
+  util::Rng rng(7);
+  SigningKey zsk = make_zsk(rng, 512);
+  crypto::RsaSignContext ctx(zsk.rsa);
+  const std::vector<uint8_t> key_id = {1, 2, 3};
+  const std::vector<uint8_t> payload = {10, 20, 30, 40};
+  const auto direct = crypto::rsa_sign(zsk.rsa, crypto::RsaHash::Sha256, payload);
+  ASSERT_FALSE(direct.empty());
+
+  constexpr size_t kThreads = 8;
+  SignatureCache cache;
+  std::vector<std::vector<uint8_t>> results(kThreads);
+  std::vector<SignStats> stats(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t id = 0; id < kThreads; ++id)
+    threads.emplace_back([&, id] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[id] =
+          cache.sign(ctx, key_id, crypto::RsaHash::Sha256, payload, &stats[id]);
+    });
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  EXPECT_EQ(cache.resets(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+  uint64_t hits = 0, misses = 0;
+  for (size_t id = 0; id < kThreads; ++id) {
+    EXPECT_EQ(results[id], direct) << id;
+    hits += stats[id].hits;
+    misses += stats[id].misses;
+  }
+  EXPECT_EQ(misses, 1u);
+  EXPECT_EQ(hits, kThreads - 1);
+}
+
+// The entry bound clears the cache wholesale; each clear is counted, both on
+// the cache and in the stats of the call whose miss triggered it.
+TEST(SignatureCache, ResetsAtTheBoundAreCounted) {
+  util::Rng rng(7);
+  SigningKey zsk = make_zsk(rng, 512);
+  crypto::RsaSignContext ctx(zsk.rsa);
+  const std::vector<uint8_t> key_id = {1, 2, 3};
+  SignatureCache cache(2);
+  SignStats stats;
+  for (uint8_t i = 0; i < 5; ++i) {
+    const std::vector<uint8_t> payload = {i};
+    cache.sign(ctx, key_id, crypto::RsaHash::Sha256, payload, &stats);
+  }
+  // Entries fill at payloads 0,1 and 2,3; payloads 2 and 4 each clear.
+  EXPECT_EQ(cache.resets(), 2u);
+  EXPECT_EQ(stats.resets, 2u);
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "netsim/flight_recorder.h"
 #include "obs/obs.h"
 #include "util/strings.h"
+#include "util/timeutil.h"
 
 namespace rootsim {
 namespace {
@@ -313,6 +315,64 @@ TEST(ZoneAudit, WorkerCountInvisibleInEveryOutput) {
         << workers << " workers";
     EXPECT_EQ(parallel.rssac002_jsonl, serial.rssac002_jsonl)
         << workers << " workers";
+  }
+}
+
+// A cold audit whose clean samples land on both serials of the same days
+// (a three-day schedule, so same-day serial pairs share unchanged RRSIGs
+// through the signature cache). Zone builds and signature-cache lookups
+// race across workers here, yet every serial is built once and the
+// sig-cache totals are exact, so the counters match at every worker count.
+TEST(ZoneAudit, ColdZoneCountersIdenticalAtEveryWorkerCount) {
+  struct ColdRun {
+    std::vector<measure::ZoneAuditObservation> observations;
+    std::string metrics_jsonl;
+    uint64_t zones_built = 0, hits = 0, misses = 0, resets = 0;
+  };
+  auto run = [](size_t workers) {
+    measure::CampaignConfig config;
+    config.zone.tld_count = 30;
+    config.zone.rsa_modulus_bits = 512;
+    config.vp_scale = 0.05;
+    config.schedule.start = util::make_time(2023, 10, 8);
+    config.schedule.end = util::make_time(2023, 10, 11);
+    obs::Recorder recorder;
+    measure::Campaign campaign(config, recorder.obs());
+    ColdRun result;
+    result.observations = campaign.run_zone_audit(24, workers);
+    const auto& metrics = recorder.metrics();
+    result.metrics_jsonl = metrics.to_jsonl();
+    result.zones_built = metrics.counter_total("rss.zones_built");
+    result.hits = metrics.counter_total("rss.sig_cache.hits");
+    result.misses = metrics.counter_total("rss.sig_cache.misses");
+    result.resets = metrics.counter_total("rss.sig_cache.resets");
+    return result;
+  };
+  const ColdRun serial = run(1);
+  std::set<uint32_t> serials;
+  for (const auto& obs : serial.observations) {
+    ASSERT_EQ(obs.verdict, dnssec::ValidationStatus::Valid) << obs.note;
+    serials.insert(obs.soa_serial);
+  }
+  size_t same_day_pairs = 0;
+  for (uint32_t s : serials)
+    if (s % 100 == 0 && serials.count(s + 1)) ++same_day_pairs;
+  ASSERT_GE(same_day_pairs, 2u) << "samples must hit both serials of a day";
+  EXPECT_EQ(serial.zones_built, serials.size());
+  EXPECT_GT(serial.hits, 0u);
+  EXPECT_EQ(serial.resets, 0u);
+  for (size_t workers : {2, 4, 8}) {
+    const ColdRun parallel = run(workers);
+    ASSERT_EQ(parallel.observations.size(), serial.observations.size());
+    for (size_t i = 0; i < serial.observations.size(); ++i)
+      ASSERT_TRUE(
+          observations_equal(parallel.observations[i], serial.observations[i]))
+          << workers << " workers, observation " << i;
+    EXPECT_EQ(parallel.zones_built, serial.zones_built) << workers;
+    EXPECT_EQ(parallel.hits, serial.hits) << workers;
+    EXPECT_EQ(parallel.misses, serial.misses) << workers;
+    EXPECT_EQ(parallel.resets, serial.resets) << workers;
+    EXPECT_EQ(parallel.metrics_jsonl, serial.metrics_jsonl) << workers;
   }
 }
 

@@ -1,16 +1,20 @@
 // Exec-pool profiler: the ROOTSIM_PROFILE knob, the per-worker rollup math
 // (busy time, critical path, imbalance), and the profiled parallel_for
 // overload. The profiler's *wall* numbers are non-deterministic by nature;
-// these tests only assert structural facts (counts, attribution, report
-// shape), never timing values.
+// these tests assert structural facts (counts, attribution, report shape),
+// and timing only where a unit's blocked-vs-busy split is orders of
+// magnitude apart.
 #include "exec/profiler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/engine.h"
@@ -47,9 +51,9 @@ TEST(Profiler, WorkerRollupAggregatesUnitSpans) {
   profiler.begin_region(/*unit_count=*/3, /*workers=*/2);
   // Synthetic spans: worker 0 runs units 0 and 1 back to back, worker 1 runs
   // unit 2. Times are caller-supplied, so the rollup math is exact.
-  profiler.unit_done(0, 0, 10.0, 30.0);
-  profiler.unit_done(1, 0, 30.0, 40.0);
-  profiler.unit_done(2, 1, 10.0, 20.0);
+  profiler.unit_done(0, 0, 10.0, 30.0, /*cpu_ms=*/15.0);
+  profiler.unit_done(1, 0, 30.0, 40.0, /*cpu_ms=*/10.0);
+  profiler.unit_done(2, 1, 10.0, 20.0, /*cpu_ms=*/10.0);
   profiler.add_unit_sim_ms(0, 100.0);
   profiler.add_unit_sim_ms(2, 7.5);
   profiler.end_region();
@@ -60,11 +64,14 @@ TEST(Profiler, WorkerRollupAggregatesUnitSpans) {
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].units, 2u);
   EXPECT_DOUBLE_EQ(reports[0].busy_ms, 30.0);
+  EXPECT_DOUBLE_EQ(reports[0].cpu_ms, 25.0);
+  EXPECT_DOUBLE_EQ(reports[0].blocked_ms, 5.0);
   EXPECT_DOUBLE_EQ(reports[0].first_begin_ms, 10.0);
   EXPECT_DOUBLE_EQ(reports[0].last_end_ms, 40.0);
   EXPECT_DOUBLE_EQ(reports[0].sim_ms, 100.0);
   EXPECT_EQ(reports[1].units, 1u);
   EXPECT_DOUBLE_EQ(reports[1].busy_ms, 10.0);
+  EXPECT_DOUBLE_EQ(reports[1].blocked_ms, 0.0);
   EXPECT_DOUBLE_EQ(reports[1].sim_ms, 7.5);
 
   std::string json = profiler.to_json();
@@ -73,18 +80,19 @@ TEST(Profiler, WorkerRollupAggregatesUnitSpans) {
         "\"units\":", "\"critical_path_ms\":", "\"parallel_efficiency\":",
         "\"imbalance\":", "\"tail_ms\":", "\"sched\":",
         "\"hardware_concurrency\":", "\"per_worker\":", "\"idle_ms\":",
-        "\"steal_count\":"})
+        "\"steal_count\":", "\"cpu_ms\":", "\"blocked_ms\":5.000",
+        "\"total_blocked_ms\":5.000"})
     EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
 }
 
 TEST(Profiler, BeginRegionResetsThePreviousRegion) {
   Profiler profiler;
   profiler.begin_region(5, 4);
-  profiler.unit_done(4, 3, 0.0, 1.0);
+  profiler.unit_done(4, 3, 0.0, 1.0, 1.0);
   profiler.end_region();
   profiler.begin_region(2, 1);
-  profiler.unit_done(0, 0, 0.0, 1.0);
-  profiler.unit_done(1, 0, 1.0, 2.0);
+  profiler.unit_done(0, 0, 0.0, 1.0, 1.0);
+  profiler.unit_done(1, 0, 1.0, 2.0, 1.0);
   profiler.end_region();
   EXPECT_EQ(profiler.unit_count(), 2u);
   auto reports = profiler.worker_reports();
@@ -95,7 +103,7 @@ TEST(Profiler, BeginRegionResetsThePreviousRegion) {
 TEST(Profiler, WriteEmitsParseableArtifact) {
   Profiler profiler;
   profiler.begin_region(1, 1);
-  profiler.unit_done(0, 0, 0.0, 2.0);
+  profiler.unit_done(0, 0, 0.0, 2.0, 2.0);
   profiler.end_region();
   const std::string path = "PROF_profiler_test.json";
   ASSERT_TRUE(profiler.write(path));
@@ -127,6 +135,43 @@ TEST(ParallelFor, ProfiledOverloadRecordsEveryUnitOnItsShard) {
   }
   EXPECT_EQ(attributed, kUnits);
   EXPECT_GE(profiler.wall_ms(), 0.0);
+}
+
+// Blocked time is wall minus thread CPU: a unit parked on a held mutex
+// accrues wall time but almost no CPU, while a spinning unit's wall time is
+// nearly all CPU. Bounds are loose (preemption on a busy host shows up as
+// blocked time too) but far apart.
+TEST(ParallelFor, ProfiledUnitsSeparateBlockedFromBusyTime) {
+  using namespace std::chrono_literals;
+  Profiler profiler;
+  std::mutex held;
+  std::atomic<bool> locked{false};
+  std::thread holder([&] {
+    std::lock_guard<std::mutex> lock(held);
+    locked.store(true);
+    std::this_thread::sleep_for(60ms);
+  });
+  while (!locked.load()) std::this_thread::yield();
+  parallel_for(1, 1, &profiler, [&](size_t, size_t) {
+    std::lock_guard<std::mutex> wait(held);
+  });
+  holder.join();
+  auto blocked = profiler.worker_reports();
+  ASSERT_EQ(blocked.size(), 1u);
+  EXPECT_GT(blocked[0].blocked_ms, 30.0);
+  EXPECT_LT(blocked[0].cpu_ms, 20.0);
+
+  parallel_for(1, 1, &profiler, [&](size_t, size_t) {
+    const double start = Profiler::thread_cpu_ms();
+    while (Profiler::thread_cpu_ms() - start < 50.0) {
+    }
+  });
+  auto spinning = profiler.worker_reports();
+  ASSERT_EQ(spinning.size(), 1u);
+  EXPECT_GE(spinning[0].cpu_ms, 50.0);
+  EXPECT_LT(spinning[0].blocked_ms, 0.5 * spinning[0].busy_ms);
+  EXPECT_NE(profiler.to_json().find("\"total_blocked_ms\":"),
+            std::string::npos);
 }
 
 TEST(ParallelFor, NullProfilerTakesThePlainPath) {

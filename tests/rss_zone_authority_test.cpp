@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "dnssec/validator.h"
+#include "obs/obs.h"
 
 namespace rootsim::rss {
 namespace {
@@ -129,6 +135,76 @@ TEST(ZoneAuthority, ZoneCacheReturnsSameObject) {
   EXPECT_EQ(&a, &b);  // same serial -> same cached zone
   const dns::Zone& c = authority.zone_at(make_time(2023, 9, 1, 13, 0));
   EXPECT_NE(&a, &c);  // second daily edit
+}
+
+// Threads race zone_at and axfr_stream_at over both serials of two days and
+// one serial of a third day. Each serial builds once, every caller gets the
+// same cached object, and the zone bytes and signature-cache counters equal
+// those of a one-thread build: same-day serials share their unchanged
+// RRSIGs through the cache's in-flight cells instead of signing them twice.
+TEST(ZoneAuthority, ConcurrentCallersBuildEachSerialOnce) {
+  RootCatalog catalog;
+  const std::vector<util::UnixTime> instants = {
+      make_time(2023, 10, 8, 3, 0),  make_time(2023, 10, 8, 15, 0),
+      make_time(2023, 10, 9, 1, 0),  make_time(2023, 10, 9, 20, 0),
+      make_time(2023, 12, 10, 6, 0)};
+  const size_t n = instants.size();
+
+  obs::Recorder serial_recorder;
+  ZoneAuthority serial(catalog, fast_config(), serial_recorder.obs());
+  std::vector<std::string> zone_bytes;
+  std::vector<std::vector<uint8_t>> axfr_bytes;
+  for (util::UnixTime t : instants) {
+    zone_bytes.push_back(serial.zone_at(t).to_master_file());
+    axfr_bytes.push_back(serial.axfr_stream_at(t));
+  }
+
+  obs::Recorder recorder;
+  ZoneAuthority authority(catalog, fast_config(), recorder.obs());
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<const dns::Zone*>> zones(
+      kThreads, std::vector<const dns::Zone*>(n));
+  std::vector<std::vector<const std::vector<uint8_t>*>> axfrs(
+      kThreads, std::vector<const std::vector<uint8_t>*>(n));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t id = 0; id < kThreads; ++id)
+    threads.emplace_back([&, id] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Each thread starts at a different serial; odd threads ask for the
+      // AXFR image first, so its cell races the zone build as well.
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = (id + k) % n;
+        if (id % 2) {
+          axfrs[id][i] = &authority.axfr_stream_at(instants[i]);
+          zones[id][i] = &authority.zone_at(instants[i]);
+        } else {
+          zones[id][i] = &authority.zone_at(instants[i]);
+          axfrs[id][i] = &authority.axfr_stream_at(instants[i]);
+        }
+      }
+    });
+  for (auto& thread : threads) thread.join();
+
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t id = 1; id < kThreads; ++id) {
+      EXPECT_EQ(zones[id][i], zones[0][i]) << "thread " << id << ", serial " << i;
+      EXPECT_EQ(axfrs[id][i], axfrs[0][i]) << "thread " << id << ", serial " << i;
+    }
+    EXPECT_EQ(zones[0][i]->to_master_file(), zone_bytes[i]) << i;
+    EXPECT_EQ(*axfrs[0][i], axfr_bytes[i]) << i;
+  }
+  const auto& metrics = recorder.metrics();
+  const auto& expected = serial_recorder.metrics();
+  EXPECT_EQ(metrics.counter_total("rss.zones_built"), n);
+  EXPECT_EQ(expected.counter_total("rss.zones_built"), n);
+  for (const char* counter :
+       {"rss.sig_cache.hits", "rss.sig_cache.misses", "rss.sig_cache.resets"})
+    EXPECT_EQ(metrics.counter_total(counter), expected.counter_total(counter))
+        << counter;
+  EXPECT_GT(metrics.counter_total("rss.sig_cache.hits"), 0u);
+  EXPECT_EQ(metrics.counter_total("rss.sig_cache.resets"), 0u);
 }
 
 TEST(ZoneAuthority, StableTldSetAcrossSerials) {

@@ -2,8 +2,9 @@
 """Diff fresh BENCH_*.json results against the committed baselines.
 
 The figure/table benches emit flat JSON objects (see bench/bench_common.h):
-deterministic work counters (probes, signatures, threads) that must match
-the committed baseline exactly — they are pure functions of (seed, config)
+deterministic work counters (route_selections, signatures, threads) taken
+over the bench's measured region, which must match the committed baseline
+exactly — they are pure functions of (seed, config)
 — and wall-clock fields (wall_ms, *_per_s) that vary by machine and only
 need to stay inside a tolerance band.
 
@@ -36,7 +37,8 @@ import sys
 # "deterministic" is a nested object some benches emit (e.g.
 # BENCH_rssac047.json's probe/window/incident counters); dict equality
 # compares every counter in it exactly.
-EXACT_FIELDS = ("bench", "probes", "signatures", "threads", "deterministic")
+EXACT_FIELDS = ("bench", "route_selections", "signatures", "threads",
+                "deterministic")
 # Wall-clock dependent: tolerance band only.
 TIMING_FIELDS = ("wall_ms",)
 
