@@ -1,6 +1,7 @@
 // Microbenchmarks of the core primitives (google-benchmark): DNS wire
-// codec, SHA-384, ZONEMD digesting of the full root zone, RSA sign/verify,
-// zone signing, anycast route lookup, and the full 47-query probe.
+// codec, SHA-384, RSA sign/verify, zone signing, anycast route lookup, and
+// the full 47-query probe. Zone validation and ZONEMD digesting live with
+// the DNS-layer kernels in bench_micro_dns.cpp.
 #include <benchmark/benchmark.h>
 
 #include "analysis/colocation.h"
@@ -8,7 +9,6 @@
 #include "crypto/sha2.h"
 #include "dns/message.h"
 #include "dnssec/signer.h"
-#include "dnssec/validator.h"
 
 using namespace rootsim;
 
@@ -49,26 +49,6 @@ void BM_Sha384(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha384)->Arg(64)->Arg(4096)->Arg(1 << 20);
-
-void BM_ZonemdDigest(benchmark::State& state) {
-  const auto& campaign = bench::paper_campaign();
-  const dns::Zone& zone = campaign.authority().zone_at(bench::late_campaign());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        dnssec::compute_zonemd_digest(zone, dns::ZonemdData::kHashSha384));
-  state.counters["records"] = static_cast<double>(zone.record_count());
-}
-BENCHMARK(BM_ZonemdDigest);
-
-void BM_ZoneValidate(benchmark::State& state) {
-  const auto& campaign = bench::paper_campaign();
-  const dns::Zone& zone = campaign.authority().zone_at(bench::late_campaign());
-  auto anchors = campaign.authority().trust_anchors();
-  util::UnixTime now = bench::late_campaign(6 * 3600);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dnssec::validate_zone(zone, anchors, now));
-}
-BENCHMARK(BM_ZoneValidate);
 
 void BM_RsaSignVerify(benchmark::State& state) {
   util::Rng rng(42);

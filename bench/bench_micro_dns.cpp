@@ -1,11 +1,14 @@
 // Microbenchmarks of the DNS layer: name handling, canonical ordering, zone
-// parsing/printing, AXFR stream framing, zone diffing.
+// parsing/printing, AXFR stream framing, zone diffing, ZONEMD digesting and
+// full-zone validation with a cold and a warm verify memo.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "dns/axfr.h"
 #include "dns/zone_diff.h"
 #include "dnssec/canonical.h"
+#include "dnssec/signer.h"
+#include "dnssec/validator.h"
 
 using namespace rootsim;
 
@@ -81,6 +84,40 @@ void BM_SigningPayload(benchmark::State& state) {
     benchmark::DoNotOptimize(dnssec::signing_payload(sig, *ns));
 }
 BENCHMARK(BM_SigningPayload);
+
+void BM_ZonemdDigest(benchmark::State& state) {
+  const dns::Zone& zone = bench_zone();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        dnssec::compute_zonemd_digest(zone, dns::ZonemdData::kHashSha384));
+  state.counters["records"] = static_cast<double>(zone.record_count());
+}
+BENCHMARK(BM_ZonemdDigest);
+
+// Cold: every iteration validates through a new anchor set, so each RRSIG
+// runs the RSA operation and each key builds its verify context.
+void BM_ZoneValidateCold(benchmark::State& state) {
+  const dns::Zone& zone = bench_zone();
+  const auto keys = bench::paper_campaign().authority().trust_anchors().keys;
+  const util::UnixTime now = bench::late_campaign(6 * 3600);
+  for (auto _ : state) {
+    const dnssec::TrustAnchors anchors{keys};
+    benchmark::DoNotOptimize(dnssec::validate_zone(zone, anchors, now));
+  }
+}
+BENCHMARK(BM_ZoneValidateCold)->Unit(benchmark::kMillisecond);
+
+// Warm: the memo already holds every signature of the zone, as for the
+// second and later files of a serial in the §7 study.
+void BM_ZoneValidateWarm(benchmark::State& state) {
+  const dns::Zone& zone = bench_zone();
+  const auto anchors = bench::paper_campaign().authority().trust_anchors();
+  const util::UnixTime now = bench::late_campaign(6 * 3600);
+  dnssec::validate_zone(zone, anchors, now);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dnssec::validate_zone(zone, anchors, now));
+}
+BENCHMARK(BM_ZoneValidateWarm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,9 +1,16 @@
 // Section 7's three-source validation study: ICANN CZDS daily files, IANA
 // website downloads every 15 minutes, and AXFRs (Table 2 has the AXFR rows;
 // this bench covers the two download channels' timelines).
+//
+// Writes BENCH_sec7_channels.json: the wall time plus a `deterministic`
+// object of per-channel counters (files, verified, unverifiable, first
+// ZONEMD, first validating, signatures checked, verify-memo misses) that
+// tools/bench_compare.py diffs exactly.
 #include "bench_common.h"
 #include "dnssec/validator.h"
+#include "obs/obs.h"
 #include "rss/distribution.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 using namespace rootsim;
@@ -23,17 +30,22 @@ int main() {
     size_t dnssec_failures = 0;
     util::UnixTime first_zonemd = 0;
     util::UnixTime first_verified = 0;
+    uint64_t signatures_checked = 0;
+    uint64_t memo_misses = 0;  ///< RSA verifications that succeeded
   };
+  // One anchor set for both channels, as a validator keeps its trust
+  // anchors: files of a serial already seen verify from the memo.
   auto audit = [&](rss::DistributionSource source, util::UnixTime start,
                    util::UnixTime end, int64_t stride_s) {
     rss::DistributionChannel channel(authority, source);
     ChannelStats stats;
+    obs::Recorder counts;  // this channel's validation counters
     for (util::UnixTime t = start; t < end; t += stride_s) {
       auto file = channel.fetch(t);
       auto zone = dns::Zone::parse_master_file(file.master_file);
       if (!zone) continue;
       ++stats.files;
-      auto result = dnssec::validate_zone(*zone, anchors, t);
+      auto result = dnssec::validate_zone(*zone, anchors, t, counts.obs());
       if (!result.signature_failures.empty()) ++stats.dnssec_failures;
       switch (result.zonemd) {
         case dnssec::ZonemdStatus::NoZonemd:
@@ -53,6 +65,9 @@ int main() {
           break;
       }
     }
+    stats.signatures_checked =
+        counts.metrics().counter_total("dnssec.signatures_checked");
+    stats.memo_misses = counts.metrics().counter_total("dnssec.verify_memo.misses");
     return stats;
   };
 
@@ -73,13 +88,15 @@ int main() {
 
   util::TextTable table({"Channel", "files", "no ZONEMD", "unverifiable",
                          "verified", "DNSSEC fail", "first ZONEMD",
-                         "verifies from"});
+                         "verifies from", "RRSIGs", "memo misses"});
   auto row = [&](const char* name, const ChannelStats& s) {
     table.add_row({name, std::to_string(s.files), std::to_string(s.no_zonemd),
                    std::to_string(s.unverifiable), std::to_string(s.verified),
                    std::to_string(s.dnssec_failures),
                    s.first_zonemd ? util::format_date(s.first_zonemd) : "-",
-                   s.first_verified ? util::format_date(s.first_verified) : "-"});
+                   s.first_verified ? util::format_date(s.first_verified) : "-",
+                   std::to_string(s.signatures_checked),
+                   std::to_string(s.memo_misses)});
   };
   row("ICANN CZDS (daily)", czds);
   row("IANA website (6h stride)", iana);
@@ -88,5 +105,20 @@ int main() {
               " 2023-12-07 on; 23,823 IANA files, first ZONEMD record\n"
               " 2023-09-21T13:30, validating from 2023-12-06T20:30; *no*\n"
               " issues found in either download channel — unlike AXFR]\n");
+
+  auto deterministic = [](const ChannelStats& s) {
+    return util::format(
+        "{\"files\": %zu, \"verified\": %zu, \"unverifiable\": %zu, "
+        "\"first_zonemd\": %lld, \"first_validating\": %lld, "
+        "\"signatures_checked\": %llu, \"memo_misses\": %llu}",
+        s.files, s.verified, s.unverifiable, static_cast<long long>(s.first_zonemd),
+        static_cast<long long>(s.first_verified),
+        static_cast<unsigned long long>(s.signatures_checked),
+        static_cast<unsigned long long>(s.memo_misses));
+  };
+  const bench::WorkCounts work{0, czds.signatures_checked + iana.signatures_checked};
+  bench::write_bench_json("sec7_channels", 1, -1, work,
+                          "\"deterministic\": {\"czds\": " + deterministic(czds) +
+                              ", \"iana\": " + deterministic(iana) + "}");
   return 0;
 }

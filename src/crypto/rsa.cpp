@@ -72,13 +72,16 @@ std::vector<uint8_t> hash_message(RsaHash hash, std::span<const uint8_t> message
   return hash == RsaHash::Sha256 ? sha256(message) : sha512(message);
 }
 
-// EMSA-PKCS1-v1_5 encoding: 0x00 0x01 FF..FF 0x00 DigestInfo.
-std::vector<uint8_t> emsa_encode(RsaHash hash, std::span<const uint8_t> message,
-                                 size_t em_len) {
-  std::vector<uint8_t> digest = hash_message(hash, message);
+size_t digest_size(RsaHash hash) { return hash == RsaHash::Sha256 ? 32 : 64; }
+
+// EMSA-PKCS1-v1_5 encoding of an already computed message digest:
+// 0x00 0x01 FF..FF 0x00 DigestInfo.
+std::vector<uint8_t> emsa_encode_digest(RsaHash hash,
+                                        std::span<const uint8_t> digest,
+                                        size_t em_len) {
   const auto& prefix = digest_info_prefix(hash);
   size_t t_len = prefix.size() + digest.size();
-  if (em_len < t_len + 11) return {};
+  if (digest.size() != digest_size(hash) || em_len < t_len + 11) return {};
   std::vector<uint8_t> em(em_len, 0xFF);
   em[0] = 0x00;
   em[1] = 0x01;
@@ -86,6 +89,11 @@ std::vector<uint8_t> emsa_encode(RsaHash hash, std::span<const uint8_t> message,
   std::copy(prefix.begin(), prefix.end(), em.end() - static_cast<long>(t_len));
   std::copy(digest.begin(), digest.end(), em.end() - static_cast<long>(digest.size()));
   return em;
+}
+
+std::vector<uint8_t> emsa_encode(RsaHash hash, std::span<const uint8_t> message,
+                                 size_t em_len) {
+  return emsa_encode_digest(hash, hash_message(hash, message), em_len);
 }
 
 }  // namespace
@@ -227,13 +235,19 @@ RsaVerifyContext::RsaVerifyContext(const RsaPublicKey& key)
 
 bool RsaVerifyContext::verify(RsaHash hash, std::span<const uint8_t> message,
                               std::span<const uint8_t> signature) const {
+  return verify_digest(hash, hash_message(hash, message), signature);
+}
+
+bool RsaVerifyContext::verify_digest(RsaHash hash,
+                                     std::span<const uint8_t> digest,
+                                     std::span<const uint8_t> signature) const {
   if (signature.size() != modulus_bytes_ || key_.n.is_zero()) return false;
+  std::vector<uint8_t> expected = emsa_encode_digest(hash, digest, modulus_bytes_);
+  if (expected.empty()) return false;
   BigNum s = BigNum::from_bytes(signature);
   if (s >= key_.n) return false;
   BigNum m = ctx_.valid() ? ctx_.exp(s, key_.e) : s.mod_pow(key_.e, key_.n);
-  std::vector<uint8_t> em = m.to_bytes_padded(modulus_bytes_);
-  std::vector<uint8_t> expected = emsa_encode(hash, message, modulus_bytes_);
-  return !expected.empty() && em == expected;
+  return m.to_bytes_padded(modulus_bytes_) == expected;
 }
 
 std::vector<uint8_t> rsa_sign(const RsaPrivateKey& key, RsaHash hash,

@@ -94,6 +94,13 @@ class RsaVerifyContext {
   bool verify(RsaHash hash, std::span<const uint8_t> message,
               std::span<const uint8_t> signature) const;
 
+  /// verify() for a caller that already hashed the message with `hash`:
+  /// `digest` is that hash's output (32 bytes for SHA-256, 64 for SHA-512;
+  /// any other length is a mismatch). PKCS#1 v1.5 verification reads the
+  /// message only through its digest, so the verdict is the same.
+  bool verify_digest(RsaHash hash, std::span<const uint8_t> digest,
+                     std::span<const uint8_t> signature) const;
+
  private:
   RsaPublicKey key_;
   size_t modulus_bytes_ = 0;

@@ -167,9 +167,13 @@ void encode_record_canonical(WireWriter& writer, const ResourceRecord& rr) {
   writer.patch_u16(rdlength_at, static_cast<uint16_t>(writer.size() - rdata_start));
 }
 
+void encode_rdata(WireWriter& writer, const Rdata& rdata, bool canonical) {
+  encode_rdata_into(writer, rdata, /*compress=*/false, canonical);
+}
+
 std::vector<uint8_t> encode_rdata(const Rdata& rdata, bool canonical) {
   WireWriter writer;
-  encode_rdata_into(writer, rdata, /*compress=*/false, canonical);
+  encode_rdata(writer, rdata, canonical);
   return writer.take();
 }
 

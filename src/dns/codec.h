@@ -27,6 +27,10 @@ void encode_record_canonical(WireWriter& writer, const ResourceRecord& rr);
 /// tags and digest computations. Canonical form when `canonical` is set.
 std::vector<uint8_t> encode_rdata(const Rdata& rdata, bool canonical);
 
+/// Appends the RDATA (uncompressed) to `writer`: the allocation-free form
+/// for callers that encode many RDATAs into one reused buffer.
+void encode_rdata(WireWriter& writer, const Rdata& rdata, bool canonical);
+
 /// Reads one record at the reader's position. Returns nullopt on malformed
 /// data (reader will be !ok()).
 std::optional<ResourceRecord> decode_record(WireReader& reader);

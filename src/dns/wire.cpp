@@ -110,7 +110,13 @@ void WireWriter::truncate(size_t size) {
 }
 
 void WireWriter::put_name_canonical(const Name& name) {
-  put_name(name.to_lower(), /*compress=*/false);
+  // Same bytes as put_name(name.to_lower(), false), folded in place instead
+  // of through a lower-cased copy of the name.
+  for (const std::string& label : name.labels()) {
+    put_u8(static_cast<uint8_t>(label.size()));
+    for (char c : label) buffer_.push_back(static_cast<uint8_t>(ascii_lower(c)));
+  }
+  put_u8(0);
 }
 
 void WireWriter::patch_u16(size_t offset, uint16_t value) {

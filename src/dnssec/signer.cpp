@@ -1,6 +1,7 @@
 #include "dnssec/signer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "crypto/sha2.h"
@@ -54,6 +55,12 @@ bool is_delegation(const dns::Zone& zone, const dns::Name& name) {
 SignatureCache::SignatureCache(size_t max_entries)
     : max_entries_(max_entries ? max_entries : 1) {}
 
+size_t SignatureCache::DigestHash::operator()(const Digest& d) const noexcept {
+  size_t h;  // SHA-256 output is uniform: its first word is a good hash
+  std::memcpy(&h, d.data(), sizeof h);
+  return h;
+}
+
 std::vector<uint8_t> SignatureCache::sign(const crypto::RsaSignContext& ctx,
                                           std::span<const uint8_t> key_id,
                                           crypto::RsaHash hash,
@@ -62,41 +69,49 @@ std::vector<uint8_t> SignatureCache::sign(const crypto::RsaSignContext& ctx,
   crypto::Sha256 h;
   h.update(key_id);
   h.update(payload);
-  auto digest = h.finish();
-  std::string lookup(reinterpret_cast<const char*>(digest.data()),
-                     digest.size());
+  const Digest lookup = h.finish();
   std::optional<std::promise<std::vector<uint8_t>>> claim;
-  Signature found;
+  std::shared_future<std::vector<uint8_t>> pending;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(lookup);
-    if (it != entries_.end()) {
+    if (auto it = signed_.find(lookup); it != signed_.end()) {
       ++hits_;
       if (stats) ++stats->hits;
-      found = it->second;
+      return it->second;
+    }
+    if (auto it = in_flight_.find(lookup); it != in_flight_.end()) {
+      ++hits_;
+      if (stats) ++stats->hits;
+      pending = it->second;
     } else {
       ++misses_;
       if (stats) ++stats->misses;
-      if (entries_.size() >= max_entries_) {
-        entries_.clear();
+      if (signed_.size() + in_flight_.size() >= max_entries_) {
+        signed_.clear();
+        in_flight_.clear();
         ++resets_;
         if (stats) ++stats->resets;
       }
-      entries_.emplace(lookup, claim.emplace().get_future().share());
+      in_flight_.emplace(lookup, claim.emplace().get_future().share());
     }
   }
-  // A hit may find the entry still in flight; it waits for that signer.
-  if (found.valid()) return found.get();
+  // A hit may find the payload still in flight; it waits for that signer.
+  if (pending.valid()) return pending.get();
   // This lookup claimed the payload: sign outside the lock, then publish.
   try {
     std::vector<uint8_t> signature = ctx.sign(hash, payload);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // A reset since the claim dropped it; the bytes are not kept then.
+      if (in_flight_.erase(lookup)) signed_.emplace(lookup, signature);
+    }
     claim->set_value(signature);
     return signature;
   } catch (...) {
-    // Waiters rethrow; dropping the entry lets a later lookup sign afresh.
+    // Waiters rethrow; dropping the claim lets a later lookup sign afresh.
     claim->set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(lookup);
+    in_flight_.erase(lookup);
     throw;
   }
 }
@@ -118,12 +133,13 @@ uint64_t SignatureCache::resets() const {
 
 size_t SignatureCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return signed_.size() + in_flight_.size();
 }
 
 void SignatureCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
+  signed_.clear();
+  in_flight_.clear();
 }
 
 namespace {
@@ -154,7 +170,8 @@ struct ZoneSigner {
 
 dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
                           const SigningPolicy& policy, const dns::Name& apex,
-                          SignatureCache* cache, SignStats* stats) {
+                          SignatureCache* cache, SignStats* stats,
+                          CanonicalEncoder& encoder) {
   dns::RrsigData sig;
   sig.type_covered = rrset.type;
   sig.algorithm = signer.key->algorithm;
@@ -164,7 +181,7 @@ dns::RrsigData sign_rrset(const dns::RRset& rrset, const ZoneSigner& signer,
   sig.inception = rrsig_time(policy.inception);
   sig.key_tag = signer.tag;
   sig.signer = apex;
-  auto payload = signing_payload(sig, rrset);
+  const std::span<const uint8_t> payload = encoder.signing_payload(sig, rrset);
   sig.signature = cache ? cache->sign(signer.ctx, signer.identity, signer.hash,
                                       payload, stats)
                         : signer.ctx.sign(signer.hash, payload);
@@ -178,42 +195,31 @@ std::vector<uint8_t> compute_zonemd_digest(const dns::Zone& zone,
   // RFC 8976 §3.3.1 SIMPLE scheme inclusion rules: hash the canonical wire
   // form of all records in canonical order, excluding (rule 4) the apex
   // ZONEMD RRset itself and (rule 6) the RRSIG covering the apex ZONEMD.
+  const bool sha512 = hash_algorithm == dns::ZonemdData::kHashSha512;
   crypto::Sha384 h384;
   crypto::Sha512 h512;
+  CanonicalEncoder encoder;
+  dns::WireWriter records;
+  const dns::Name& apex = zone.origin();
   for (const dns::RRset* set : zone.rrsets()) {
-    if (set->type == dns::RRType::ZONEMD && set->name == zone.origin())
-      continue;
-    if (set->type == dns::RRType::RRSIG) {
-      // RRSIG covering ZONEMD at the apex is excluded.
-      std::vector<dns::Rdata> kept;
-      for (const auto& rdata : set->rdatas) {
+    const bool at_apex = set->name == apex;
+    if (at_apex && set->type == dns::RRType::ZONEMD) continue;
+    const bool drop_zonemd_sigs = at_apex && set->type == dns::RRType::RRSIG;
+    for (const auto& rdata : set->rdatas) {
+      if (drop_zonemd_sigs) {
         const auto* sig = std::get_if<dns::RrsigData>(&rdata);
-        if (sig && sig->type_covered == dns::RRType::ZONEMD &&
-            set->name == zone.origin())
-          continue;
-        kept.push_back(rdata);
+        if (sig && sig->type_covered == dns::RRType::ZONEMD) continue;
       }
-      if (kept.empty()) continue;
-      for (const auto& rdata : sort_rdatas_canonically(kept)) {
-        dns::ResourceRecord rr{set->name, set->type, set->rclass, set->ttl, rdata};
-        auto bytes = canonical_record(rr);
-        if (hash_algorithm == dns::ZonemdData::kHashSha512)
-          h512.update(bytes);
-        else
-          h384.update(bytes);
-      }
-      continue;
+      encoder.add_rdata(rdata);
     }
-    for (const auto& rdata : sort_rdatas_canonically(set->rdatas)) {
-      dns::ResourceRecord rr{set->name, set->type, set->rclass, set->ttl, rdata};
-      auto bytes = canonical_record(rr);
-      if (hash_algorithm == dns::ZonemdData::kHashSha512)
-        h512.update(bytes);
-      else
-        h384.update(bytes);
-    }
+    encoder.flush_records(records, set->name, set->type, set->rclass, set->ttl);
+    if (sha512)
+      h512.update(records.data());
+    else
+      h384.update(records.data());
+    records.clear();
   }
-  if (hash_algorithm == dns::ZonemdData::kHashSha512) {
+  if (sha512) {
     auto digest = h512.finish();
     return {digest.begin(), digest.end()};
   }
@@ -227,6 +233,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
   const dns::Name& apex = zone.origin();
   const ZoneSigner ksk_signer(ksk);
   const ZoneSigner zsk_signer(zsk);
+  CanonicalEncoder encoder;  // reused across every RRset signed below
 
   // Strip any previous DNSSEC material and ZONEMD.
   std::vector<std::pair<dns::Name, dns::RRType>> to_remove;
@@ -317,7 +324,8 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     }
     const ZoneSigner& signer =  // KSK signs DNSKEY only
         (set->type == dns::RRType::DNSKEY) ? ksk_signer : zsk_signer;
-    dns::RrsigData sig = sign_rrset(*set, signer, policy, apex, cache, stats);
+    dns::RrsigData sig =
+        sign_rrset(*set, signer, policy, apex, cache, stats, encoder);
     dns::ResourceRecord rr;
     rr.name = set->name;
     rr.type = dns::RRType::RRSIG;
@@ -359,7 +367,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
                                      sig_ttl, rdata});
       const dns::RRset* zonemd_set = zone.find(apex, dns::RRType::ZONEMD);
       dns::RrsigData sig = sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache,
-                                       stats);
+                                       stats, encoder);
       zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
                                    zonemd_set->ttl, sig});
     }

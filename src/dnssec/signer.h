@@ -7,6 +7,7 @@
 // serial; it mirrors what Verisign does for '.' twice a day.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <future>
 #include <mutex>
@@ -56,6 +57,14 @@ struct SignStats {
   uint64_t resets = 0;  ///< wholesale clears this call's misses triggered
 };
 
+/// Entry bound of both memos: the signing side's SignatureCache (through
+/// rss::ZoneAuthorityConfig::signature_cache_entries) and the verifying
+/// side's VerifyMemo. It sits above the largest audit: the full 400-sample
+/// Table 2 audit signs about 75k distinct payloads and verifies about 75k
+/// distinct signatures, so neither memo resets there and both hit/miss
+/// splits are the same at every worker count.
+inline constexpr size_t kMemoEntries = size_t{1} << 17;
+
 /// Memoizes RRSIG signature bytes across sign_zone calls.
 ///
 /// The root zone re-signs ~every 12 hours, but most RRsets (delegations,
@@ -71,9 +80,10 @@ struct SignStats {
 /// cold sign of the identical payload would produce.
 ///
 /// Thread-safe, with in-flight cells: the first lookup of a payload claims
-/// its entry under the lock (a pending future) and signs outside it; a
-/// concurrent lookup of the same payload counts as a hit and waits on that
-/// future instead of signing again. So `misses` equals the number of
+/// it under the lock (a pending future) and signs outside it; a concurrent
+/// lookup of the same payload counts as a hit and waits on that future
+/// instead of signing again. Once signed, the bytes move to the finished
+/// map, whose entries hold no future. So `misses` equals the number of
 /// distinct payloads and `hits` the remaining lookups in any schedule —
 /// exact totals, the same at every worker count — while `resets` is 0.
 /// At `max_entries` the cache clears wholesale and counts a reset; past a
@@ -81,7 +91,7 @@ struct SignStats {
 /// totals are exact only while resets == 0.
 class SignatureCache {
  public:
-  explicit SignatureCache(size_t max_entries = 1 << 16);
+  explicit SignatureCache(size_t max_entries = kMemoEntries);
 
   /// Returns the cached signature for (key identity, payload), or signs via
   /// `ctx` and caches. `key_id` must uniquely identify the signing key (the
@@ -100,14 +110,19 @@ class SignatureCache {
   void clear();
 
  private:
-  using Signature = std::shared_future<std::vector<uint8_t>>;
+  using Digest = std::array<uint8_t, 32>;  // SHA-256(key id ‖ payload)
+  struct DigestHash {
+    size_t operator()(const Digest& d) const noexcept;
+  };
 
   mutable std::mutex mu_;
   size_t max_entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t resets_ = 0;
-  std::unordered_map<std::string, Signature> entries_;
+  std::unordered_map<Digest, std::vector<uint8_t>, DigestHash> signed_;
+  std::unordered_map<Digest, std::shared_future<std::vector<uint8_t>>, DigestHash>
+      in_flight_;
 };
 
 /// Signs `zone` in place: strips old NSEC/RRSIG/ZONEMD/DNSKEY, installs the

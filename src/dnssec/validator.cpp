@@ -1,5 +1,8 @@
 #include "dnssec/validator.h"
 
+#include <algorithm>
+#include <array>
+
 #include "crypto/rsa.h"
 #include "crypto/sha2.h"
 #include "dnssec/canonical.h"
@@ -128,24 +131,52 @@ TrustAnchors TrustAnchors::from_ds_anchor(const dns::DsData& anchor,
 
 namespace {
 
-// Shared verify core; callers that check many signatures against the same
-// key pass a prebuilt RsaVerifyContext so the per-key Montgomery setup is
-// paid once, not per RRSIG.
-ValidationStatus verify_with_context(const dns::RRset& rrset,
-                                     const dns::RrsigData& sig,
-                                     const crypto::RsaVerifyContext& ctx,
-                                     util::UnixTime now) {
+crypto::RsaHash hash_for(const dns::RrsigData& sig) {
+  return sig.algorithm == 10 ? crypto::RsaHash::Sha512 : crypto::RsaHash::Sha256;
+}
+
+// H(payload) under the RRSIG's hash, written into `out`.
+std::span<const uint8_t> payload_digest(
+    crypto::RsaHash hash, std::span<const uint8_t> payload,
+    std::array<uint8_t, crypto::Sha512::kDigestSize>& out) {
+  if (hash == crypto::RsaHash::Sha512) {
+    crypto::Sha512 h;
+    h.update(payload);
+    out = h.finish();
+    return out;
+  }
+  crypto::Sha256 h;
+  h.update(payload);
+  const auto digest = h.finish();
+  std::copy(digest.begin(), digest.end(), out.begin());
+  return std::span<const uint8_t>(out).first(digest.size());
+}
+
+// The one verify core. The validity window is checked against `now` first,
+// on every call; then the signing payload is encoded and hashed once, and
+// that digest serves both the memo lookup and, on a miss, the RSA
+// operation. Only a signature that verifies is memoized.
+ValidationStatus verify_signature(const dns::RRset& rrset,
+                                  const dns::RrsigData& sig,
+                                  const VerifyMemo::Key& key, VerifyMemo* memo,
+                                  util::UnixTime now, CanonicalEncoder& encoder,
+                                  VerifyMemoStats* stats) {
   // RFC 4034 §3.1.5: serial-number-style comparison is unnecessary here; the
   // campaign lives comfortably inside 32-bit time.
   if (now < static_cast<util::UnixTime>(sig.inception))
     return ValidationStatus::SignatureNotIncepted;
   if (now > static_cast<util::UnixTime>(sig.expiration))
     return ValidationStatus::SignatureExpired;
-  crypto::RsaHash hash =
-      sig.algorithm == 10 ? crypto::RsaHash::Sha512 : crypto::RsaHash::Sha256;
-  auto payload = signing_payload(sig, rrset);
-  if (!ctx.verify(hash, payload, sig.signature))
+  const crypto::RsaHash hash = hash_for(sig);
+  std::array<uint8_t, crypto::Sha512::kDigestSize> digest_bytes;
+  const std::span<const uint8_t> digest =
+      payload_digest(hash, encoder.signing_payload(sig, rrset), digest_bytes);
+  const VerifyMemo::Verification verification{key.id, sig.algorithm, digest,
+                                              sig.signature};
+  if (memo && memo->contains(verification, stats)) return ValidationStatus::Valid;
+  if (!key.ctx->verify_digest(hash, digest, sig.signature))
     return ValidationStatus::BogusSignature;
+  if (memo) memo->insert(verification, stats);
   return ValidationStatus::Valid;
 }
 
@@ -155,7 +186,9 @@ ValidationStatus verify_rrsig(const dns::RRset& rrset, const dns::RrsigData& sig
                               const dns::DnskeyData& key, util::UnixTime now) {
   crypto::RsaVerifyContext ctx(
       crypto::RsaPublicKey::from_dnskey_wire(key.public_key));
-  return verify_with_context(rrset, sig, ctx, now);
+  CanonicalEncoder encoder;
+  return verify_signature(rrset, sig, VerifyMemo::Key{0, &ctx}, nullptr, now,
+                          encoder, nullptr);
 }
 
 std::string to_string(DenialStatus status) {
@@ -205,12 +238,14 @@ DenialStatus verify_nxdomain_proof(const dns::Message& response,
         qname.canonical_compare(nsec->next) < 0 || nsec->next.is_root();
     if (!(after_owner && before_next)) continue;  // try another NSEC
     // Covering NSEC found: it must verify.
+    VerifyMemo& memo = *anchors.memo;
+    CanonicalEncoder encoder;
     for (const dns::RrsigData& sig : candidate.sigs) {
       for (const auto& key : anchors.keys) {
         if (key.key_tag() != sig.key_tag || key.algorithm != sig.algorithm)
           continue;
-        if (verify_rrsig(candidate.nsec_set, sig, key, now) ==
-            ValidationStatus::Valid)
+        if (verify_signature(candidate.nsec_set, sig, memo.intern(key), &memo,
+                             now, encoder, nullptr) == ValidationStatus::Valid)
           return DenialStatus::Proven;
       }
     }
@@ -250,21 +285,21 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
   ZoneValidationResult result;
   result.zonemd = check_zonemd(zone);
 
-  // Per-anchor precomputation: the key tag (a wire-form checksum) and the
-  // RSA Montgomery context are resolved once per key, not per signature —
-  // a full-zone pass verifies hundreds of RRSIGs against the same two keys.
+  // Per-anchor precomputation: the key tag (a wire-form checksum) once per
+  // call, and the RSA Montgomery context once per memo — a full-zone pass
+  // verifies hundreds of RRSIGs against the same two keys.
   struct AnchorKey {
     const dns::DnskeyData* key;
     uint16_t tag;
-    crypto::RsaVerifyContext ctx;
+    VerifyMemo::Key handle;
   };
+  VerifyMemo& memo = *anchors.memo;
   std::vector<AnchorKey> anchor_keys;
   anchor_keys.reserve(anchors.keys.size());
   for (const auto& key : anchors.keys)
-    anchor_keys.push_back(AnchorKey{
-        &key, key.key_tag(),
-        crypto::RsaVerifyContext(
-            crypto::RsaPublicKey::from_dnskey_wire(key.public_key))});
+    anchor_keys.push_back(AnchorKey{&key, key.key_tag(), memo.intern(key)});
+  CanonicalEncoder encoder;  // reused across every signature checked below
+  VerifyMemoStats memo_stats;
 
   const dns::Name& apex = zone.origin();
   for (const dns::RRset* set : zone.rrsets()) {
@@ -304,8 +339,8 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
              util::format("key tag %u not in trust anchors", sig->key_tag)});
         continue;
       }
-      ValidationStatus status =
-          verify_with_context(*set, *sig, matching_key->ctx, now);
+      ValidationStatus status = verify_signature(
+          *set, *sig, matching_key->handle, &memo, now, encoder, &memo_stats);
       if (status != ValidationStatus::Valid) {
         result.signature_failures.push_back(
             {status, set->name, set->type,
@@ -321,6 +356,9 @@ ZoneValidationResult validate_zone(const dns::Zone& zone,
     obs.count("dnssec.zonemd", {{"status", to_string(result.zonemd)}});
     obs.count("dnssec.rrsets_checked", result.rrsets_checked);
     obs.count("dnssec.signatures_checked", result.signatures_checked);
+    obs.count("dnssec.verify_memo.hits", memo_stats.hits);
+    obs.count("dnssec.verify_memo.misses", memo_stats.misses);
+    obs.count("dnssec.verify_memo.resets", memo_stats.resets);
   }
   return result;
 }

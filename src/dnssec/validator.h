@@ -8,12 +8,14 @@
 // that classify the roll-out stages.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dns/message.h"
 #include "dns/zone.h"
 #include "dnssec/signer.h"
+#include "dnssec/verify_memo.h"
 #include "obs/obs.h"
 #include "util/timeutil.h"
 
@@ -67,6 +69,13 @@ struct ZoneValidationResult {
 /// Trust anchor set: the DNSKEYs (or just the KSK) the validator trusts.
 struct TrustAnchors {
   std::vector<dns::DnskeyData> keys;
+  /// Verdicts of earlier successful verifications and the per-key RSA
+  /// contexts (see verify_memo.h). Every copy of an anchor set shares one
+  /// memo, so a caller that keeps a set across validate_zone calls skips
+  /// the RSA operation for every signature it has already verified. The
+  /// memo is keyed on key content, not on `keys`, so copies may edit their
+  /// key lists freely. Never null.
+  std::shared_ptr<VerifyMemo> memo = std::make_shared<VerifyMemo>();
 
   static TrustAnchors from_zone_apex(const dns::Zone& zone);
 
@@ -91,9 +100,12 @@ bool ds_matches(const dns::Name& owner, const dns::DsData& ds,
 
 /// Validates all RRSIGs in `zone` against `anchors` at time `now`, plus the
 /// ZONEMD digest. `now` is the *validator's* clock — the paper found six
-/// time-related errors caused purely by skewed VP clocks. `obs` (optional)
-/// counts outcomes: `dnssec.validations{status=...}` by the Table-2 dominant
-/// verdict, `dnssec.zonemd{status=...}`, and rrset/signature work counters.
+/// time-related errors caused purely by skewed VP clocks. Signatures that
+/// verified before under the same anchor set (any copy of it) are answered
+/// from its memo; the validity window is checked against `now` every time.
+/// `obs` (optional) counts outcomes: `dnssec.validations{status=...}` by
+/// the Table-2 dominant verdict, `dnssec.zonemd{status=...}`, rrset/signature
+/// work counters, and this call's `dnssec.verify_memo.{hits,misses,resets}`.
 ZoneValidationResult validate_zone(const dns::Zone& zone,
                                    const TrustAnchors& anchors,
                                    util::UnixTime now, obs::Obs obs = {});

@@ -8,12 +8,14 @@ namespace rootsim::localroot {
 LocalRootService::LocalRootService(const measure::Campaign& campaign,
                                    const measure::VantagePoint& vp,
                                    LocalRootConfig config)
-    : campaign_(&campaign), vp_(vp), config_(std::move(config)) {}
+    : campaign_(&campaign),
+      vp_(vp),
+      config_(std::move(config)),
+      anchors_(campaign.authority().trust_anchors()) {}
 
 RefreshResult LocalRootService::refresh(util::UnixTime now,
                                         const std::vector<ServerFault>& faults) {
   RefreshResult result;
-  dnssec::TrustAnchors anchors = campaign_->authority().trust_anchors();
   uint64_t round = campaign_->schedule().round_at(now);
 
   size_t attempts = 0;
@@ -54,7 +56,7 @@ RefreshResult LocalRootService::refresh(util::UnixTime now,
     // With a configured DS anchor, bootstrap trust from the received copy
     // itself (the IANA trust-anchor path); a failed bootstrap rejects the
     // transfer outright.
-    dnssec::TrustAnchors effective_anchors = anchors;
+    dnssec::TrustAnchors effective_anchors = anchors_;
     if (config_.ds_anchor) {
       effective_anchors = dnssec::TrustAnchors::from_ds_anchor(
           *config_.ds_anchor, *candidate, vp_.local_clock(now));

@@ -96,6 +96,9 @@ class LocalRootService {
   const measure::Campaign* campaign_;
   measure::VantagePoint vp_;
   LocalRootConfig config_;
+  /// The authority's anchors, kept across refreshes so a serial fetched
+  /// again verifies from the anchor set's memo.
+  dnssec::TrustAnchors anchors_;
   std::optional<dns::Zone> zone_;
   util::UnixTime loaded_at_ = 0;
 };

@@ -53,11 +53,11 @@ struct ZoneAuthorityConfig {
   int64_t rrsig_validity_days = 14;
   /// Signature memo bound (entries). At the bound the memo clears wholesale
   /// and counts `rss.sig_cache.resets`; past a reset the hit/miss split
-  /// depends on the schedule. The perfbench `table2-audit` workload (42
-  /// serials, about 18k distinct payloads) stays below the bound; the full
-  /// 400-sample Table 2 audit (229 serials) signs about 85k and resets once.
-  /// 0 disables the cache entirely.
-  size_t signature_cache_entries = 1 << 16;
+  /// depends on the schedule. The default, dnssec::kMemoEntries, sits above
+  /// the full 400-sample Table 2 audit (229 serials, about 75k distinct
+  /// payloads) and the perfbench `table2-audit` workload (about 18k), so
+  /// both run with 0 resets. 0 disables the cache entirely.
+  size_t signature_cache_entries = dnssec::kMemoEntries;
 };
 
 /// Builds signed root zones for any instant of the campaign.

@@ -134,5 +134,29 @@ TEST(Rsa, SignatureDeterministicPkcs1) {
             rsa_sign(key, RsaHash::Sha256, bytes_of(msg)));
 }
 
+// verify_digest is verify() with the hashing done by the caller: the same
+// verdict for the message's own digest, false for another digest or one of
+// the wrong length for the hash.
+TEST(Rsa, VerifyDigestMatchesVerify) {
+  util::Rng rng(13);
+  RsaPrivateKey key = generate_rsa_key(rng, 1024);
+  RsaVerifyContext ctx(key.public_key);
+  std::string msg = "verified once, answered from the digest";
+  for (RsaHash hash : {RsaHash::Sha256, RsaHash::Sha512}) {
+    auto sig = rsa_sign(key, hash, bytes_of(msg));
+    auto digest = hash == RsaHash::Sha256 ? sha256(bytes_of(msg)) : sha512(bytes_of(msg));
+    EXPECT_TRUE(ctx.verify(hash, bytes_of(msg), sig));
+    EXPECT_TRUE(ctx.verify_digest(hash, digest, sig));
+    auto other = digest;
+    other[0] ^= 1;
+    EXPECT_FALSE(ctx.verify_digest(hash, other, sig));
+    auto bad_sig = sig;
+    bad_sig.back() ^= 1;
+    EXPECT_FALSE(ctx.verify_digest(hash, digest, bad_sig));
+    EXPECT_FALSE(ctx.verify_digest(
+        hash, std::span<const uint8_t>(digest).first(digest.size() - 1), sig));
+  }
+}
+
 }  // namespace
 }  // namespace rootsim::crypto

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dns/wire.h"
 #include "util/rng.h"
 
 namespace rootsim::dnssec {
@@ -119,6 +120,92 @@ TEST(Canonical, RecordEncodingMatchesWireLength) {
   auto bytes = canonical_record(rr);
   // owner(6) + type(2) + class(2) + ttl(4) + rdlen(2) + rdata(10).
   EXPECT_EQ(bytes.size(), 6u + 2 + 2 + 4 + 2 + 10);
+}
+
+// The one-pass encoder against the two-pass reference it replaced: sort the
+// Rdata copies by their canonical bytes, then encode each RR again.
+std::vector<uint8_t> reference_payload(const dns::RrsigData& sig,
+                                       const dns::RRset& rrset) {
+  dns::WireWriter writer;
+  writer.put_u16(static_cast<uint16_t>(sig.type_covered));
+  writer.put_u8(sig.algorithm);
+  writer.put_u8(sig.labels);
+  writer.put_u32(sig.original_ttl);
+  writer.put_u32(sig.expiration);
+  writer.put_u32(sig.inception);
+  writer.put_u16(sig.key_tag);
+  writer.put_name_canonical(sig.signer);
+  for (const auto& rdata : sort_rdatas_canonically(rrset.rdatas)) {
+    auto bytes = canonical_record(
+        {rrset.name, rrset.type, rrset.rclass, sig.original_ttl, rdata});
+    writer.put_bytes(bytes);
+  }
+  return writer.take();
+}
+
+TEST(Canonical, OnePassPayloadMatchesTwoPassReference) {
+  util::Rng rng(11);
+  const char* labels[] = {"a", "ab", "B", "ns1", "Zz", "EXAMPLE", "x"};
+  auto random_name = [&] {
+    std::string text;
+    for (size_t i = 0, n = 1 + rng.uniform(3); i < n; ++i)
+      text += std::string(labels[rng.uniform(7)]) + ".";
+    return *Name::parse(text);
+  };
+  CanonicalEncoder encoder;  // reused across every RRset below
+  for (int round = 0; round < 300; ++round) {
+    dns::RRset rrset;
+    rrset.name = random_name();
+    rrset.ttl = 3600;
+    const size_t count = rng.uniform(6);
+    switch (round % 4) {
+      case 0:
+        rrset.type = dns::RRType::NS;
+        for (size_t i = 0; i < count; ++i) rrset.rdatas.push_back(dns::NsData{random_name()});
+        break;
+      case 1:  // prefixes and duplicates: "a" < "ab", equal spans
+        rrset.type = dns::RRType::TXT;
+        for (size_t i = 0; i < count; ++i)
+          rrset.rdatas.push_back(dns::TxtData{{labels[rng.uniform(3)]}});
+        break;
+      case 2:
+        rrset.type = dns::RRType::A;
+        for (size_t i = 0; i < count; ++i)
+          rrset.rdatas.push_back(dns::AData{util::IpAddress::v4(
+              static_cast<uint32_t>(rng.uniform(4)) << 24)});
+        break;
+      default:
+        rrset.type = dns::RRType::DS;
+        for (size_t i = 0; i < count; ++i)
+          rrset.rdatas.push_back(dns::DsData{
+              static_cast<uint16_t>(rng.uniform(3)), 8, 2,
+              std::vector<uint8_t>(rng.uniform(3), static_cast<uint8_t>(i))});
+        break;
+    }
+    dns::RrsigData sig;
+    sig.type_covered = rrset.type;
+    sig.algorithm = 8;
+    sig.labels = static_cast<uint8_t>(rrset.name.label_count());
+    sig.original_ttl = 7200;
+    sig.expiration = 2000;
+    sig.inception = 1000;
+    sig.key_tag = 7;
+    sig.signer = random_name();
+    const auto reference = reference_payload(sig, rrset);
+    EXPECT_EQ(signing_payload(sig, rrset), reference) << round;
+    const auto reused = encoder.signing_payload(sig, rrset);
+    EXPECT_EQ(std::vector<uint8_t>(reused.begin(), reused.end()), reference) << round;
+  }
+}
+
+TEST(Canonical, NameCanonicalFormLowercasesInPlace) {
+  for (const char* text : {".", "A.ROOT-SERVERS.NET.", "MiXeD.Case.", "x."}) {
+    const Name name = *Name::parse(text);
+    dns::WireWriter folded, reference;
+    folded.put_name_canonical(name);
+    reference.put_name(name.to_lower(), /*compress=*/false);
+    EXPECT_EQ(folded.data(), reference.data()) << text;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "crypto/sha2.h"
 #include "dnssec/canonical.h"
 #include "dnssec/signer.h"
 #include "dnssec/validator.h"
@@ -129,6 +131,52 @@ TEST(Signer, ZonemdDigestVerifies) {
   EXPECT_EQ(zonemd.digest.size(), 48u);
   auto recomputed = compute_zonemd_digest(f.zone, dns::ZonemdData::kHashSha384);
   EXPECT_EQ(recomputed, zonemd.digest);
+}
+
+// compute_zonemd_digest encodes each RRset in one pass; the digest must be
+// the one a record-by-record hash of sorted Rdata copies gives (RFC 8976
+// §3.3.1: apex ZONEMD and the RRSIG covering it excluded).
+std::vector<uint8_t> reference_zonemd_digest(const dns::Zone& zone,
+                                             uint8_t hash_algorithm) {
+  crypto::Sha384 h384;
+  crypto::Sha512 h512;
+  for (const dns::RRset* set : zone.rrsets()) {
+    const bool at_apex = set->name == zone.origin();
+    if (at_apex && set->type == RRType::ZONEMD) continue;
+    std::vector<dns::Rdata> kept;
+    for (const auto& rdata : set->rdatas) {
+      const auto* sig = std::get_if<dns::RrsigData>(&rdata);
+      if (at_apex && sig && sig->type_covered == RRType::ZONEMD) continue;
+      kept.push_back(rdata);
+    }
+    for (const auto& rdata : sort_rdatas_canonically(kept)) {
+      auto bytes = canonical_record({set->name, set->type, set->rclass, set->ttl, rdata});
+      if (hash_algorithm == dns::ZonemdData::kHashSha512)
+        h512.update(bytes);
+      else
+        h384.update(bytes);
+    }
+  }
+  if (hash_algorithm == dns::ZonemdData::kHashSha512) {
+    auto digest = h512.finish();
+    return {digest.begin(), digest.end()};
+  }
+  auto digest = h384.finish();
+  return {digest.begin(), digest.end()};
+}
+
+TEST(Signer, ZonemdDigestMatchesRecordByRecordReference) {
+  auto f = make_signed_root();
+  // Mixed-case owners and multi-record RRsets exercise folding and sorting.
+  f.zone.add({*Name::parse("MiXeD.com."), RRType::A, dns::RRClass::IN, 300,
+              dns::AData{util::IpAddress::v4(10, 0, 0, 9)}});
+  f.zone.add({*Name::parse("MiXeD.com."), RRType::A, dns::RRClass::IN, 300,
+              dns::AData{util::IpAddress::v4(9, 0, 0, 10)}});
+  for (uint8_t algorithm :
+       {dns::ZonemdData::kHashSha384, dns::ZonemdData::kHashSha512})
+    EXPECT_EQ(compute_zonemd_digest(f.zone, algorithm),
+              reference_zonemd_digest(f.zone, algorithm))
+        << int(algorithm);
 }
 
 TEST(Signer, PrivateAlgorithmStageIsNotVerifiable) {
@@ -270,6 +318,216 @@ TEST(Validator, RoundTripThroughAxfrAndMasterFile) {
 TEST(Validator, StatusStrings) {
   EXPECT_EQ(to_string(ValidationStatus::BogusSignature), "bogus-signature");
   EXPECT_EQ(to_string(ZonemdStatus::Verified), "zonemd-verified");
+}
+
+// ---------------------------------------------------------------------------
+// Verify memo: a warm memo must give exactly the verdicts a cold validator
+// gives. Each case warms the memo on the pristine zone, then validates a
+// changed zone (or at another time, or with fewer keys) through the same
+// anchor set.
+
+// Replaces the RRset (name, type) with `rdatas`, keeping its TTL.
+void replace_rrset(dns::Zone& zone, const Name& name, RRType type,
+                   const std::vector<dns::Rdata>& rdatas) {
+  const uint32_t ttl = zone.find(name, type)->ttl;
+  zone.remove_rrset(name, type);
+  for (const auto& rdata : rdatas)
+    zone.add({name, type, dns::RRClass::IN, ttl, rdata});
+}
+
+struct WarmFixture {
+  SignedFixture f = make_signed_root();
+  TrustAnchors anchors = TrustAnchors::from_zone_apex(f.zone);
+  util::UnixTime now = make_time(2023, 12, 7);
+
+  WarmFixture() {
+    EXPECT_TRUE(validate_zone(f.zone, anchors, now).fully_valid());
+    EXPECT_GT(anchors.memo->misses(), 0u);
+  }
+};
+
+TEST(VerifyMemo, FlippedSignatureByteIsBogusOnAWarmMemo) {
+  WarmFixture w;
+  const dns::RRset* sigs = w.f.zone.find(Name(), RRType::RRSIG);
+  ASSERT_NE(sigs, nullptr);
+  const size_t sig_len = std::get<dns::RrsigData>(sigs->rdatas[0]).signature.size();
+  for (size_t at : {size_t{0}, sig_len / 2, sig_len - 1}) {
+    dns::Zone zone = w.f.zone;
+    auto rdatas = sigs->rdatas;
+    std::get<dns::RrsigData>(rdatas[0]).signature[at] ^= 0x01;
+    replace_rrset(zone, Name(), RRType::RRSIG, rdatas);
+    const uint64_t misses = w.anchors.memo->misses();
+    auto result = validate_zone(zone, w.anchors, w.now);
+    EXPECT_EQ(result.dominant_failure(), ValidationStatus::BogusSignature)
+        << "byte " << at;
+    ASSERT_EQ(result.signature_failures.size(), 1u) << "byte " << at;
+    EXPECT_EQ(result.signature_failures[0].status, ValidationStatus::BogusSignature);
+    // A failed verification is never stored.
+    EXPECT_EQ(w.anchors.memo->misses(), misses) << "byte " << at;
+  }
+  // The pristine zone still validates from the memo.
+  EXPECT_TRUE(validate_zone(w.f.zone, w.anchors, w.now).fully_valid());
+}
+
+TEST(VerifyMemo, ChangedDsRdataIsBogusOnAWarmMemo) {
+  WarmFixture w;
+  const Name com = *Name::parse("com.");
+  dns::Zone zone = w.f.zone;
+  auto rdatas = zone.find(com, RRType::DS)->rdatas;
+  std::get<dns::DsData>(rdatas[0]).digest[5] ^= 0x80;
+  replace_rrset(zone, com, RRType::DS, rdatas);
+  auto result = validate_zone(zone, w.anchors, w.now);
+  EXPECT_EQ(result.dominant_failure(), ValidationStatus::BogusSignature);
+  ASSERT_EQ(result.signature_failures.size(), 1u);
+  EXPECT_EQ(result.signature_failures[0].owner, com);
+  EXPECT_EQ(result.signature_failures[0].type_covered, RRType::DS);
+  EXPECT_EQ(result.zonemd, ZonemdStatus::Mismatch);
+}
+
+TEST(VerifyMemo, ValidityWindowIsCheckedOnEveryCall) {
+  WarmFixture w;
+  const uint64_t hits = w.anchors.memo->hits();
+  auto early = validate_zone(w.f.zone, w.anchors, w.f.policy.inception - 1);
+  EXPECT_EQ(early.dominant_failure(), ValidationStatus::SignatureNotIncepted);
+  EXPECT_EQ(early.signature_failures.size(), early.signatures_checked);
+  auto late = validate_zone(w.f.zone, w.anchors, w.f.policy.expiration + 1);
+  EXPECT_EQ(late.dominant_failure(), ValidationStatus::SignatureExpired);
+  EXPECT_EQ(late.signature_failures.size(), late.signatures_checked);
+  // Window failures never reach the memo.
+  EXPECT_EQ(w.anchors.memo->hits(), hits);
+}
+
+TEST(VerifyMemo, AnchorSetLackingTheKeyIsUnknownKey) {
+  WarmFixture w;
+  TrustAnchors ksk_only = w.anchors;  // shares the warm memo
+  const uint16_t zsk_tag = w.f.zsk.key_tag();
+  std::erase_if(ksk_only.keys, [&](const dns::DnskeyData& key) {
+    return key.key_tag() == zsk_tag;
+  });
+  ASSERT_EQ(ksk_only.keys.size(), 1u);
+  auto result = validate_zone(w.f.zone, ksk_only, w.now);
+  EXPECT_EQ(result.dominant_failure(), ValidationStatus::UnknownKey);
+  for (const auto& failure : result.signature_failures)
+    EXPECT_EQ(failure.status, ValidationStatus::UnknownKey);
+  // Only the KSK-signed DNSKEY RRset verified, from the memo.
+  EXPECT_EQ(result.signature_failures.size() + 1, result.signatures_checked);
+}
+
+TEST(VerifyMemo, CopiesOfAnAnchorSetShareHits) {
+  WarmFixture w;
+  const uint64_t misses = w.anchors.memo->misses();
+  const uint64_t hits = w.anchors.memo->hits();
+  const TrustAnchors copy = w.anchors;
+  EXPECT_EQ(copy.memo, w.anchors.memo);
+  auto result = validate_zone(w.f.zone, copy, w.now);
+  EXPECT_TRUE(result.fully_valid());
+  EXPECT_EQ(w.anchors.memo->misses(), misses);
+  EXPECT_EQ(w.anchors.memo->hits(), hits + result.signatures_checked);
+  // An anchor set built separately has its own memo and starts cold.
+  const TrustAnchors fresh = TrustAnchors::from_zone_apex(w.f.zone);
+  EXPECT_NE(fresh.memo, w.anchors.memo);
+  EXPECT_EQ(fresh.memo->size(), 0u);
+}
+
+TEST(VerifyMemo, ConcurrentValidationCountsLikeSerial) {
+  const SignedFixture f = make_signed_root();
+  const util::UnixTime now = make_time(2023, 12, 7);
+  constexpr size_t kThreads = 8;
+
+  const TrustAnchors serial = TrustAnchors::from_zone_apex(f.zone);
+  for (size_t i = 0; i < kThreads; ++i)
+    ASSERT_TRUE(validate_zone(f.zone, serial, now).fully_valid());
+
+  const TrustAnchors shared = TrustAnchors::from_zone_apex(f.zone);
+  std::vector<ZoneValidationResult> results(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t id = 0; id < kThreads; ++id)
+    threads.emplace_back([&, id] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[id] = validate_zone(f.zone, shared, now);
+    });
+  for (auto& thread : threads) thread.join();
+
+  for (const auto& result : results) EXPECT_TRUE(result.fully_valid());
+  EXPECT_EQ(shared.memo->misses(), serial.memo->misses());
+  EXPECT_EQ(shared.memo->hits(), serial.memo->hits());
+  EXPECT_EQ(shared.memo->resets(), 0u);
+  EXPECT_EQ(shared.memo->misses(), results[0].signatures_checked);
+  EXPECT_EQ(shared.memo->hits(), (kThreads - 1) * results[0].signatures_checked);
+}
+
+// The memo on its own: exact byte comparison of every tuple field, and a
+// bound that clears wholesale and counts each clear.
+TEST(VerifyMemo, LookupComparesEveryField) {
+  VerifyMemo memo;
+  const std::vector<uint8_t> digest(32, 0xAB);
+  const std::vector<uint8_t> signature(64, 0xCD);
+  const VerifyMemo::Verification v{1, 8, digest, signature};
+  VerifyMemoStats stats;
+  EXPECT_FALSE(memo.contains(v, &stats));
+  memo.insert(v, &stats);
+  EXPECT_TRUE(memo.contains(v, &stats));
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+
+  auto other_digest = digest;
+  other_digest[31] ^= 1;
+  auto other_signature = signature;
+  other_signature[40] ^= 1;
+  EXPECT_FALSE(memo.contains({2, 8, digest, signature}));
+  EXPECT_FALSE(memo.contains({1, 10, digest, signature}));
+  EXPECT_FALSE(memo.contains({1, 8, other_digest, signature}));
+  EXPECT_FALSE(memo.contains({1, 8, digest, other_signature}));
+  EXPECT_FALSE(memo.contains(
+      {1, 8, digest, std::span<const uint8_t>(signature).first(63)}));
+
+  // Inserting a present tuple (a lost insert race) counts a hit.
+  memo.insert(v, &stats);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(VerifyMemo, ResetsAtTheBoundAreCounted) {
+  VerifyMemo memo;
+  VerifyMemoStats stats;
+  const std::vector<uint8_t> signature(64, 0x11);
+  std::vector<uint8_t> digest(32, 0);
+  auto insert = [&](uint32_t i) {
+    std::memcpy(digest.data(), &i, sizeof i);
+    memo.insert({0, 8, digest, signature}, &stats);
+  };
+  for (uint32_t i = 0; i < kMemoEntries; ++i) insert(i);
+  EXPECT_EQ(memo.size(), kMemoEntries);
+  EXPECT_EQ(memo.resets(), 0u);
+  // One entry past the bound clears the memo wholesale and keeps only it.
+  insert(static_cast<uint32_t>(kMemoEntries));
+  EXPECT_EQ(memo.resets(), 1u);
+  EXPECT_EQ(stats.resets, 1u);
+  EXPECT_EQ(stats.misses, kMemoEntries + 1);
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(memo.contains({0, 8, digest, signature}));
+  uint32_t first = 0;
+  std::memcpy(digest.data(), &first, sizeof first);
+  EXPECT_FALSE(memo.contains({0, 8, digest, signature}));
+}
+
+TEST(VerifyMemo, ManyEntriesGrowTheIndex) {
+  VerifyMemo memo;
+  const std::vector<uint8_t> signature(96, 0x5A);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    std::vector<uint8_t> digest(32, 0);
+    std::memcpy(digest.data(), &i, sizeof i);
+    memo.insert({i % 3, 8, digest, signature});
+  }
+  EXPECT_EQ(memo.size(), 5000u);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    std::vector<uint8_t> digest(32, 0);
+    std::memcpy(digest.data(), &i, sizeof i);
+    ASSERT_TRUE(memo.contains({i % 3, 8, digest, signature})) << i;
+    ASSERT_FALSE(memo.contains({(i + 1) % 3, 8, digest, signature})) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

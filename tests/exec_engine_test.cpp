@@ -320,14 +320,16 @@ TEST(ZoneAudit, WorkerCountInvisibleInEveryOutput) {
 
 // A cold audit whose clean samples land on both serials of the same days
 // (a three-day schedule, so same-day serial pairs share unchanged RRSIGs
-// through the signature cache). Zone builds and signature-cache lookups
-// race across workers here, yet every serial is built once and the
-// sig-cache totals are exact, so the counters match at every worker count.
+// through the signature cache). Zone builds, signature-cache lookups and
+// verify-memo lookups race across workers here, yet every serial is built
+// once and the sig-cache and verify-memo totals are exact, so the counters
+// match at every worker count.
 TEST(ZoneAudit, ColdZoneCountersIdenticalAtEveryWorkerCount) {
   struct ColdRun {
     std::vector<measure::ZoneAuditObservation> observations;
     std::string metrics_jsonl;
     uint64_t zones_built = 0, hits = 0, misses = 0, resets = 0;
+    uint64_t memo_hits = 0, memo_misses = 0, memo_resets = 0;
   };
   auto run = [](size_t workers) {
     measure::CampaignConfig config;
@@ -346,6 +348,9 @@ TEST(ZoneAudit, ColdZoneCountersIdenticalAtEveryWorkerCount) {
     result.hits = metrics.counter_total("rss.sig_cache.hits");
     result.misses = metrics.counter_total("rss.sig_cache.misses");
     result.resets = metrics.counter_total("rss.sig_cache.resets");
+    result.memo_hits = metrics.counter_total("dnssec.verify_memo.hits");
+    result.memo_misses = metrics.counter_total("dnssec.verify_memo.misses");
+    result.memo_resets = metrics.counter_total("dnssec.verify_memo.resets");
     return result;
   };
   const ColdRun serial = run(1);
@@ -361,6 +366,11 @@ TEST(ZoneAudit, ColdZoneCountersIdenticalAtEveryWorkerCount) {
   EXPECT_EQ(serial.zones_built, serials.size());
   EXPECT_GT(serial.hits, 0u);
   EXPECT_EQ(serial.resets, 0u);
+  // Several samples share each serial, so the memo answers repeat
+  // signatures; every valid verification is a hit or a miss.
+  EXPECT_GT(serial.memo_hits, 0u);
+  EXPECT_GT(serial.memo_misses, 0u);
+  EXPECT_EQ(serial.memo_resets, 0u);
   for (size_t workers : {2, 4, 8}) {
     const ColdRun parallel = run(workers);
     ASSERT_EQ(parallel.observations.size(), serial.observations.size());
@@ -372,6 +382,9 @@ TEST(ZoneAudit, ColdZoneCountersIdenticalAtEveryWorkerCount) {
     EXPECT_EQ(parallel.hits, serial.hits) << workers;
     EXPECT_EQ(parallel.misses, serial.misses) << workers;
     EXPECT_EQ(parallel.resets, serial.resets) << workers;
+    EXPECT_EQ(parallel.memo_hits, serial.memo_hits) << workers;
+    EXPECT_EQ(parallel.memo_misses, serial.memo_misses) << workers;
+    EXPECT_EQ(parallel.memo_resets, serial.memo_resets) << workers;
     EXPECT_EQ(parallel.metrics_jsonl, serial.metrics_jsonl) << workers;
   }
 }
