@@ -48,11 +48,11 @@ int main() {
   std::printf("catchable by ZONEMD     : %zu\n", report.catchable_by_zonemd);
   // Past a reset (a memo's entry bound) the hit/miss split depends on the
   // schedule, so the resets are printed with it.
-  if (const auto* cache = campaign.authority().signature_cache())
-    std::printf("signature cache         : %llu hits, %llu misses, %llu resets\n",
-                static_cast<unsigned long long>(cache->hits()),
-                static_cast<unsigned long long>(cache->misses()),
-                static_cast<unsigned long long>(cache->resets()));
+  const auto& cache = campaign.authority().signature_cache();
+  std::printf("signature cache         : %llu hits, %llu misses, %llu resets\n",
+              static_cast<unsigned long long>(cache.hits()),
+              static_cast<unsigned long long>(cache.misses()),
+              static_cast<unsigned long long>(cache.resets()));
   const auto memo_after = memo_counts();
   std::printf("verify memo             : %llu hits, %llu misses, %llu resets\n",
               static_cast<unsigned long long>(memo_after[0] - memo_before[0]),

@@ -32,13 +32,19 @@ int base32hex_value(char c) {
 }
 }  // namespace
 
+void append_hex(std::string& out, std::span<const uint8_t> data) {
+  const size_t start = out.size();
+  out.resize(start + data.size() * 2);
+  char* p = out.data() + start;
+  for (uint8_t b : data) {
+    *p++ = kHexDigits[b >> 4];
+    *p++ = kHexDigits[b & 0xF];
+  }
+}
+
 std::string to_hex(std::span<const uint8_t> data) {
   std::string out;
-  out.reserve(data.size() * 2);
-  for (uint8_t b : data) {
-    out += kHexDigits[b >> 4];
-    out += kHexDigits[b & 0xF];
-  }
+  append_hex(out, data);
   return out;
 }
 
@@ -55,37 +61,45 @@ std::optional<std::vector<uint8_t>> from_hex(std::string_view text) {
   return out;
 }
 
-std::string to_base64(std::span<const uint8_t> data) {
-  std::string out;
-  out.reserve((data.size() + 2) / 3 * 4);
+void append_base64(std::string& out, std::span<const uint8_t> data) {
+  const size_t start = out.size();
+  out.resize(start + (data.size() + 2) / 3 * 4);
+  char* p = out.data() + start;
   size_t i = 0;
   for (; i + 3 <= data.size(); i += 3) {
     uint32_t triple = static_cast<uint32_t>(data[i]) << 16 |
                       static_cast<uint32_t>(data[i + 1]) << 8 | data[i + 2];
-    out += kBase64Alphabet[triple >> 18 & 0x3F];
-    out += kBase64Alphabet[triple >> 12 & 0x3F];
-    out += kBase64Alphabet[triple >> 6 & 0x3F];
-    out += kBase64Alphabet[triple & 0x3F];
+    *p++ = kBase64Alphabet[triple >> 18 & 0x3F];
+    *p++ = kBase64Alphabet[triple >> 12 & 0x3F];
+    *p++ = kBase64Alphabet[triple >> 6 & 0x3F];
+    *p++ = kBase64Alphabet[triple & 0x3F];
   }
   size_t rem = data.size() - i;
   if (rem == 1) {
     uint32_t v = static_cast<uint32_t>(data[i]) << 16;
-    out += kBase64Alphabet[v >> 18 & 0x3F];
-    out += kBase64Alphabet[v >> 12 & 0x3F];
-    out += "==";
+    *p++ = kBase64Alphabet[v >> 18 & 0x3F];
+    *p++ = kBase64Alphabet[v >> 12 & 0x3F];
+    *p++ = '=';
+    *p++ = '=';
   } else if (rem == 2) {
     uint32_t v = static_cast<uint32_t>(data[i]) << 16 |
                  static_cast<uint32_t>(data[i + 1]) << 8;
-    out += kBase64Alphabet[v >> 18 & 0x3F];
-    out += kBase64Alphabet[v >> 12 & 0x3F];
-    out += kBase64Alphabet[v >> 6 & 0x3F];
-    out += '=';
+    *p++ = kBase64Alphabet[v >> 18 & 0x3F];
+    *p++ = kBase64Alphabet[v >> 12 & 0x3F];
+    *p++ = kBase64Alphabet[v >> 6 & 0x3F];
+    *p++ = '=';
   }
+}
+
+std::string to_base64(std::span<const uint8_t> data) {
+  std::string out;
+  append_base64(out, data);
   return out;
 }
 
 std::optional<std::vector<uint8_t>> from_base64(std::string_view text) {
   std::vector<uint8_t> out;
+  out.reserve(text.size() / 4 * 3 + 2);
   uint32_t acc = 0;
   int bits = 0;
   size_t pad = 0;

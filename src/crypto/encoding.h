@@ -11,6 +11,10 @@
 
 namespace rootsim::crypto {
 
+/// Appends the encoding to `out`; to_hex/to_base64 return it in a new string.
+void append_hex(std::string& out, std::span<const uint8_t> data);
+void append_base64(std::string& out, std::span<const uint8_t> data);
+
 std::string to_hex(std::span<const uint8_t> data);
 std::optional<std::vector<uint8_t>> from_hex(std::string_view text);
 

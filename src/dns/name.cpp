@@ -1,5 +1,7 @@
 #include "dns/name.h"
 
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace rootsim::dns {
@@ -81,26 +83,38 @@ size_t Name::wire_length() const {
 }
 
 std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
   std::string out;
+  append_to(out);
+  return out;
+}
+
+void Name::append_to(std::string& out) const {
+  if (labels_.empty()) {
+    out += '.';
+    return;
+  }
   for (const auto& label : labels_) {
+    if (std::none_of(label.begin(), label.end(), needs_escape)) {
+      out += label;
+      out += '.';
+      continue;
+    }
     for (char c : label) {
-      if (needs_escape(c)) {
-        if (c == '.' || c == '\\') {
-          out += '\\';
-          out += c;
-        } else {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\%03u", static_cast<uint8_t>(c));
-          out += buf;
-        }
-      } else {
+      if (!needs_escape(c)) {
         out += c;
+      } else if (c == '.' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else {
+        const auto octet = static_cast<uint8_t>(c);
+        const char escaped[] = {'\\', static_cast<char>('0' + octet / 100),
+                                static_cast<char>('0' + octet / 10 % 10),
+                                static_cast<char>('0' + octet % 10)};
+        out.append(escaped, sizeof escaped);
       }
     }
     out += '.';
   }
-  return out;
 }
 
 Name Name::parent() const {

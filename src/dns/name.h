@@ -38,6 +38,8 @@ class Name {
   /// Presentation format with a trailing dot; "." for the root. Special
   /// characters are escaped as \DDD.
   std::string to_string() const;
+  /// Appends to_string() to `out`.
+  void append_to(std::string& out) const;
 
   /// The name minus its leftmost label; the root if already root.
   Name parent() const;

@@ -1,11 +1,23 @@
 #include "dns/rdata.h"
 
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
+
 #include "crypto/encoding.h"
-#include "util/strings.h"
 
 namespace rootsim::dns {
 
-std::string rrtype_to_string(RRType type) {
+namespace {
+
+// The types rrtype_from_string recognises ("ANY" maps to ANY as any unknown
+// text does).
+constexpr RRType kNamedTypes[] = {
+    RRType::A,  RRType::NS,    RRType::CNAME, RRType::SOA,    RRType::PTR,
+    RRType::MX, RRType::TXT,   RRType::AAAA,  RRType::OPT,    RRType::DS,
+    RRType::RRSIG, RRType::NSEC, RRType::DNSKEY, RRType::ZONEMD, RRType::AXFR};
+
+std::string_view type_mnemonic(RRType type) {
   switch (type) {
     case RRType::A: return "A";
     case RRType::NS: return "NS";
@@ -24,38 +36,70 @@ std::string rrtype_to_string(RRType type) {
     case RRType::AXFR: return "AXFR";
     case RRType::ANY: return "ANY";
   }
-  return util::format("TYPE%u", static_cast<unsigned>(type));
+  return {};
+}
+
+void append_uint(std::string& out, uint64_t value) {
+  char digits[20];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, result.ptr);
+}
+
+void append_rrclass(std::string& out, RRClass rclass) {
+  switch (rclass) {
+    case RRClass::IN: out += "IN"; return;
+    case RRClass::CH: out += "CH"; return;
+    case RRClass::ANY: out += "ANY"; return;
+  }
+  out += "CLASS";
+  append_uint(out, static_cast<uint16_t>(rclass));
+}
+
+// Space-separated decimal fields.
+void append_uints(std::string& out, std::initializer_list<uint64_t> values) {
+  bool first = true;
+  for (uint64_t value : values) {
+    if (!first) out += ' ';
+    first = false;
+    append_uint(out, value);
+  }
+}
+
+void append_rrtype(std::string& out, RRType type) {
+  if (const std::string_view mnemonic = type_mnemonic(type); !mnemonic.empty()) {
+    out += mnemonic;
+    return;
+  }
+  out += "TYPE";
+  append_uint(out, static_cast<uint16_t>(type));
+}
+
+}  // namespace
+
+std::string rrtype_to_string(RRType type) {
+  std::string out;
+  append_rrtype(out, type);
+  return out;
 }
 
 RRType rrtype_from_string(std::string_view text) {
-  std::string upper;
-  for (char c : text)
-    upper += (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
-  if (upper == "A") return RRType::A;
-  if (upper == "NS") return RRType::NS;
-  if (upper == "CNAME") return RRType::CNAME;
-  if (upper == "SOA") return RRType::SOA;
-  if (upper == "PTR") return RRType::PTR;
-  if (upper == "MX") return RRType::MX;
-  if (upper == "TXT") return RRType::TXT;
-  if (upper == "AAAA") return RRType::AAAA;
-  if (upper == "OPT") return RRType::OPT;
-  if (upper == "DS") return RRType::DS;
-  if (upper == "RRSIG") return RRType::RRSIG;
-  if (upper == "NSEC") return RRType::NSEC;
-  if (upper == "DNSKEY") return RRType::DNSKEY;
-  if (upper == "ZONEMD") return RRType::ZONEMD;
-  if (upper == "AXFR") return RRType::AXFR;
+  auto upper = [](char c) {
+    return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
+  };
+  for (RRType type : kNamedTypes) {
+    const std::string_view mnemonic = type_mnemonic(type);
+    if (mnemonic.size() == text.size() &&
+        std::equal(mnemonic.begin(), mnemonic.end(), text.begin(),
+                   [&](char m, char c) { return m == upper(c); }))
+      return type;
+  }
   return RRType::ANY;
 }
 
 std::string rrclass_to_string(RRClass rclass) {
-  switch (rclass) {
-    case RRClass::IN: return "IN";
-    case RRClass::CH: return "CH";
-    case RRClass::ANY: return "ANY";
-  }
-  return util::format("CLASS%u", static_cast<unsigned>(rclass));
+  std::string out;
+  append_rrclass(out, rclass);
+  return out;
 }
 
 uint16_t DnskeyData::key_tag() const {
@@ -95,84 +139,106 @@ RRType rdata_type(const Rdata& rdata) {
   return std::visit(Visitor{}, rdata);
 }
 
-namespace {
+void append_record_prefix(std::string& out, const Name& name, uint32_t ttl,
+                          RRClass rclass, RRType type) {
+  name.append_to(out);
+  out += ' ';
+  append_uint(out, ttl);
+  out += ' ';
+  append_rrclass(out, rclass);
+  out += ' ';
+  append_rrtype(out, type);
+  out += ' ';
+}
 
-std::string quote_txt(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
+void append_rdata(std::string& out, const Rdata& rdata) {
+  struct Visitor {
+    std::string& out;
+    void operator()(const SoaData& soa) const {
+      soa.mname.append_to(out);
+      out += ' ';
+      soa.rname.append_to(out);
+      out += ' ';
+      append_uints(out, {soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum});
+    }
+    void operator()(const NsData& ns) const { ns.nsdname.append_to(out); }
+    void operator()(const CnameData& c) const { c.target.append_to(out); }
+    void operator()(const AData& a) const { out += a.address.to_string(); }
+    void operator()(const AaaaData& a) const { out += a.address.to_string(); }
+    void operator()(const TxtData& txt) const {
+      for (size_t i = 0; i < txt.strings.size(); ++i) {
+        if (i > 0) out += ' ';
+        out += '"';
+        for (char c : txt.strings[i]) {
+          if (c == '"' || c == '\\') out += '\\';
+          out += c;
+        }
+        out += '"';
+      }
+    }
+    void operator()(const MxData& mx) const {
+      append_uint(out, mx.preference);
+      out += ' ';
+      mx.exchange.append_to(out);
+    }
+    void operator()(const DsData& ds) const {
+      append_uints(out, {ds.key_tag, ds.algorithm, ds.digest_type});
+      out += ' ';
+      crypto::append_hex(out, ds.digest);
+    }
+    void operator()(const DnskeyData& key) const {
+      append_uints(out, {key.flags, key.protocol, key.algorithm});
+      out += ' ';
+      crypto::append_base64(out, key.public_key);
+    }
+    void operator()(const RrsigData& sig) const {
+      append_rrtype(out, sig.type_covered);
+      out += ' ';
+      append_uints(out, {sig.algorithm, sig.labels, sig.original_ttl, sig.expiration,
+                         sig.inception, sig.key_tag});
+      out += ' ';
+      sig.signer.append_to(out);
+      out += ' ';
+      crypto::append_base64(out, sig.signature);
+    }
+    void operator()(const NsecData& nsec) const {
+      nsec.next.append_to(out);
+      for (RRType t : nsec.types) {
+        out += ' ';
+        append_rrtype(out, t);
+      }
+    }
+    void operator()(const ZonemdData& z) const {
+      append_uints(out, {z.serial, z.scheme, z.hash_algorithm});
+      out += ' ';
+      crypto::append_hex(out, z.digest);
+    }
+    void operator()(const OptData& opt) const {
+      out += "; udp=";
+      append_uint(out, opt.udp_payload_size);
+      out += opt.dnssec_ok ? " do=1" : " do=0";
+    }
+    void operator()(const GenericData& g) const {
+      out += "\\# ";
+      append_uint(out, g.bytes.size());
+      out += ' ';
+      crypto::append_hex(out, g.bytes);
+    }
+  };
+  std::visit(Visitor{out}, rdata);
+}
+
+std::string rdata_to_string(const Rdata& rdata) {
+  std::string out;
+  append_rdata(out, rdata);
   return out;
 }
 
-}  // namespace
-
-std::string rdata_to_string(const Rdata& rdata) {
-  struct Visitor {
-    std::string operator()(const SoaData& soa) const {
-      return util::format("%s %s %u %u %u %u %u", soa.mname.to_string().c_str(),
-                          soa.rname.to_string().c_str(), soa.serial, soa.refresh,
-                          soa.retry, soa.expire, soa.minimum);
-    }
-    std::string operator()(const NsData& ns) const { return ns.nsdname.to_string(); }
-    std::string operator()(const CnameData& c) const { return c.target.to_string(); }
-    std::string operator()(const AData& a) const { return a.address.to_string(); }
-    std::string operator()(const AaaaData& a) const { return a.address.to_string(); }
-    std::string operator()(const TxtData& txt) const {
-      std::vector<std::string> parts;
-      parts.reserve(txt.strings.size());
-      for (const auto& s : txt.strings) parts.push_back(quote_txt(s));
-      return util::join(parts, " ");
-    }
-    std::string operator()(const MxData& mx) const {
-      return util::format("%u %s", mx.preference, mx.exchange.to_string().c_str());
-    }
-    std::string operator()(const DsData& ds) const {
-      return util::format("%u %u %u %s", ds.key_tag, ds.algorithm, ds.digest_type,
-                          crypto::to_hex(ds.digest).c_str());
-    }
-    std::string operator()(const DnskeyData& key) const {
-      return util::format("%u %u %u %s", key.flags, key.protocol, key.algorithm,
-                          crypto::to_base64(key.public_key).c_str());
-    }
-    std::string operator()(const RrsigData& sig) const {
-      return util::format("%s %u %u %u %u %u %u %s %s",
-                          rrtype_to_string(sig.type_covered).c_str(), sig.algorithm,
-                          sig.labels, sig.original_ttl, sig.expiration,
-                          sig.inception, sig.key_tag,
-                          sig.signer.to_string().c_str(),
-                          crypto::to_base64(sig.signature).c_str());
-    }
-    std::string operator()(const NsecData& nsec) const {
-      std::string out = nsec.next.to_string();
-      for (RRType t : nsec.types) {
-        out += ' ';
-        out += rrtype_to_string(t);
-      }
-      return out;
-    }
-    std::string operator()(const ZonemdData& z) const {
-      return util::format("%u %u %u %s", z.serial, z.scheme, z.hash_algorithm,
-                          crypto::to_hex(z.digest).c_str());
-    }
-    std::string operator()(const OptData& opt) const {
-      return util::format("; udp=%u do=%d", opt.udp_payload_size, opt.dnssec_ok);
-    }
-    std::string operator()(const GenericData& g) const {
-      return util::format("\\# %zu %s", g.bytes.size(),
-                          crypto::to_hex(g.bytes).c_str());
-    }
-  };
-  return std::visit(Visitor{}, rdata);
-}
-
 std::string record_to_string(const ResourceRecord& rr) {
-  return util::format("%s %u %s %s %s", rr.name.to_string().c_str(), rr.ttl,
-                      rrclass_to_string(rr.rclass).c_str(),
-                      rrtype_to_string(rr.type).c_str(),
-                      rdata_to_string(rr.rdata).c_str());
+  std::string out;
+  append_record_prefix(out, rr.name, rr.ttl, rr.rclass, rr.type);
+  append_rdata(out, rr.rdata);
+  return out;
 }
 
 }  // namespace rootsim::dns

@@ -46,7 +46,8 @@ enum class RRClass : uint16_t {
 };
 
 std::string rrtype_to_string(RRType type);
-RRType rrtype_from_string(std::string_view text);  // returns ANY on unknown
+/// Case-insensitive; returns ANY on unknown. Does not allocate.
+RRType rrtype_from_string(std::string_view text);
 std::string rrclass_to_string(RRClass rclass);
 
 struct SoaData {
@@ -184,5 +185,12 @@ std::string rdata_to_string(const Rdata& rdata);
 
 /// Full presentation line: "name ttl class type rdata".
 std::string record_to_string(const ResourceRecord& rr);
+
+/// The appenders behind the two functions above, for printers that write
+/// many records into one buffer. A line is the prefix "name ttl class type "
+/// (shared by every record of an RRset) followed by the RDATA.
+void append_record_prefix(std::string& out, const Name& name, uint32_t ttl,
+                          RRClass rclass, RRType type);
+void append_rdata(std::string& out, const Rdata& rdata);
 
 }  // namespace rootsim::dns

@@ -1,6 +1,8 @@
 #include "dns/zone.h"
 
 #include <algorithm>
+#include <charconv>
+#include <span>
 
 #include "crypto/encoding.h"
 #include "util/strings.h"
@@ -28,19 +30,30 @@ std::vector<ResourceRecord> RRset::to_records() const {
   return out;
 }
 
-void Zone::add(const ResourceRecord& rr) {
-  Key key{rr.name, rr.type};
-  auto [it, inserted] = sets_.try_emplace(key);
-  RRset& set = it->second;
-  if (inserted) {
-    set.name = rr.name;
-    set.type = rr.type;
-    set.rclass = rr.rclass;
-    set.ttl = rr.ttl;
+void Zone::add(ResourceRecord rr) {
+  // In canonical order a record either joins the last RRset or starts a new
+  // one after it, so only out-of-order records pay for a tree search.
+  auto pos = sets_.end();
+  bool found = false;
+  if (!sets_.empty()) {
+    const auto last = std::prev(pos);
+    const int order = Key::compare(rr.name, rr.type, last->first);
+    if (order == 0) {
+      pos = last;
+      found = true;
+    } else if (order < 0) {
+      pos = sets_.lower_bound(Key{rr.name, rr.type});
+      found = Key::compare(rr.name, rr.type, pos->first) == 0;
+    }
   }
-  if (std::find(set.rdatas.begin(), set.rdatas.end(), rr.rdata) ==
-      set.rdatas.end())
-    set.rdatas.push_back(rr.rdata);
+  if (!found) {
+    Key key{rr.name, rr.type};  // copied before the RRset takes the name
+    pos = sets_.emplace_hint(pos, std::move(key),
+                             RRset{std::move(rr.name), rr.type, rr.rclass, rr.ttl, {}});
+  }
+  auto& rdatas = pos->second.rdatas;
+  if (std::find(rdatas.begin(), rdatas.end(), rr.rdata) == rdatas.end())
+    rdatas.push_back(std::move(rr.rdata));
 }
 
 bool Zone::remove_rrset(const Name& name, RRType type) {
@@ -138,106 +151,150 @@ std::optional<Zone> Zone::from_axfr(const std::vector<ResourceRecord>& records,
 
 std::string Zone::to_master_file() const {
   std::string out;
-  out += util::format("$ORIGIN %s\n", origin_.to_string().c_str());
-  for (const auto& [key, set] : sets_)
-    for (const auto& record : set.to_records()) {
-      out += record_to_string(record);
+  // The root zone prints about 90 octets a record; a zone of longer lines
+  // grows the buffer once or twice.
+  out.reserve(96 * record_count() + 64);
+  out += "$ORIGIN ";
+  origin_.append_to(out);
+  out += '\n';
+  std::string prefix;  // "owner ttl class type ", shared by the RRset
+  for (const auto& [key, set] : sets_) {
+    prefix.clear();
+    append_record_prefix(prefix, set.name, set.ttl, set.rclass, set.type);
+    for (const auto& rdata : set.rdatas) {
+      out += prefix;
+      append_rdata(out, rdata);
       out += '\n';
     }
+  }
   return out;
 }
 
 namespace {
 
-// Splits a zone-file line into tokens, honoring "quoted strings" and ;comments.
-std::vector<std::string> tokenize_zone_line(std::string_view line, bool* bad) {
-  std::vector<std::string> tokens;
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+// Splits a zone-file line into tokens, honoring "quoted strings" and
+// ;comments. Tokens are views into `line`. A quoted token keeps its opening
+// quote as a marker (so TXT keeps empty strings); one holding escapes is
+// unescaped into `scratch`, which is reserved to the line's length so the
+// views into it stay valid. Returns false on an unterminated string.
+bool tokenize_zone_line(std::string_view line, std::vector<std::string_view>& tokens,
+                        std::string& scratch) {
+  tokens.clear();
+  scratch.clear();
   size_t i = 0;
   while (i < line.size()) {
-    char c = line[i];
+    const char c = line[i];
     if (c == ';') break;
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
-    std::string token;
-    if (c == '"') {
-      ++i;
-      bool closed = false;
-      while (i < line.size()) {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-          token += line[i + 1];
-          i += 2;
-          continue;
-        }
-        if (line[i] == '"') {
-          ++i;
-          closed = true;
-          break;
-        }
-        token += line[i++];
-      }
-      if (!closed && bad) *bad = true;
-      tokens.push_back("\"" + token);  // marker so TXT keeps empty strings
-    } else {
-      while (i < line.size() && !std::isspace(static_cast<unsigned char>(line[i])) &&
-             line[i] != ';')
-        token += line[i++];
-      tokens.push_back(std::move(token));
+    const size_t start = i;
+    if (c != '"') {
+      while (i < line.size() && !is_space(line[i]) && line[i] != ';') ++i;
+      tokens.push_back(line.substr(start, i - start));
+      continue;
     }
+    const size_t close = line.find_first_of("\"\\", start + 1);
+    if (close != std::string_view::npos && line[close] == '"') {
+      tokens.push_back(line.substr(start, close - start));
+      i = close + 1;
+      continue;
+    }
+    if (scratch.empty()) scratch.reserve(line.size());
+    const size_t token_start = scratch.size();
+    scratch += '"';
+    bool closed = false;
+    for (++i; i < line.size();) {
+      if (line[i] == '\\' && i + 1 < line.size()) {
+        scratch += line[i + 1];
+        i += 2;
+        continue;
+      }
+      if (line[i] == '"') {
+        ++i;
+        closed = true;
+        break;
+      }
+      scratch += line[i++];
+    }
+    if (!closed) return false;
+    tokens.push_back(std::string_view(scratch).substr(token_start));
   }
-  return tokens;
+  return true;
 }
 
-std::optional<uint32_t> parse_u32(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    if (value > 0xFFFFFFFFULL) return std::nullopt;
-  }
-  return static_cast<uint32_t>(value);
+std::optional<uint32_t> parse_u32(std::string_view s) {
+  uint32_t value = 0;
+  const char* end = s.data() + s.size();
+  const auto result = std::from_chars(s.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) return std::nullopt;
+  return value;
 }
 
-std::optional<Name> parse_relative_name(const std::string& token, const Name& origin) {
+std::optional<Name> parse_relative_name(std::string_view token, const Name& origin) {
   if (token == "@") return origin;
-  if (!token.empty() && token.back() == '.') return Name::parse(token);
+  auto parsed = Name::parse(token);
+  if (!parsed || token.back() == '.') return parsed;
   // Relative: append origin.
-  auto partial = Name::parse(token + ".");
-  if (!partial) return std::nullopt;
-  std::vector<std::string> labels = partial->labels();
+  std::vector<std::string> labels = parsed->labels();
   labels.insert(labels.end(), origin.labels().begin(), origin.labels().end());
   return Name::from_labels(std::move(labels));
+}
+
+// The base64 field of DNSKEY and RRSIG, which may span several tokens.
+std::optional<std::vector<uint8_t>> parse_base64_field(
+    std::span<const std::string_view> parts, std::string& joined) {
+  if (parts.size() == 1) return crypto::from_base64(parts[0]);
+  joined.clear();
+  for (std::string_view part : parts) joined += part;
+  return crypto::from_base64(joined);
 }
 
 }  // namespace
 
 std::optional<Zone> Zone::parse_master_file(std::string_view text,
                                             std::string* error) {
-  auto fail = [&](const std::string& msg) -> std::optional<Zone> {
-    if (error) *error = msg;
+  size_t line_number = 0;
+  auto fail = [&](std::string_view message) -> std::optional<Zone> {
+    if (error)
+      *error = util::format("line %zu: %.*s", line_number,
+                            static_cast<int>(message.size()), message.data());
     return std::nullopt;
+  };
+  auto quoted = [](const char* what, std::string_view token) {
+    return util::format("%s '%.*s'", what, static_cast<int>(token.size()), token.data());
   };
   Name origin;  // default: root
   uint32_t default_ttl = 86400;
-  std::vector<ResourceRecord> records;
-  std::optional<Name> last_owner;
+  Zone zone;
+  std::optional<Name> soa_owner;
+  Name owner;
+  bool have_owner = false;
+  // The owner token `owner` was parsed from, when it is a view into `text`:
+  // a line repeating it reuses `owner` instead of parsing it again.
+  std::string_view owner_token;
+  std::vector<std::string_view> tokens;
+  std::string scratch, joined;
 
-  size_t line_number = 0;
-  for (const auto& raw_line : util::split(text, '\n')) {
+  for (size_t pos = 0; pos <= text.size();) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view raw_line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_number;
-    bool bad = false;
-    bool line_indented =
-        !raw_line.empty() && std::isspace(static_cast<unsigned char>(raw_line[0]));
-    auto tokens = tokenize_zone_line(raw_line, &bad);
-    if (bad) return fail(util::format("line %zu: unterminated string", line_number));
+    if (!tokenize_zone_line(raw_line, tokens, scratch)) return fail("unterminated string");
     if (tokens.empty()) continue;
     if (tokens[0] == "$ORIGIN") {
       if (tokens.size() < 2) return fail("$ORIGIN missing argument");
       auto parsed = Name::parse(tokens[1]);
       if (!parsed) return fail("$ORIGIN bad name");
-      origin = *parsed;
+      origin = std::move(*parsed);
+      owner_token = {};  // relative owners now resolve differently
       continue;
     }
     if (tokens[0] == "$TTL") {
@@ -249,17 +306,18 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
     }
 
     size_t cursor = 0;
-    Name owner;
-    if (line_indented) {
-      if (!last_owner) return fail(util::format("line %zu: no previous owner", line_number));
-      owner = *last_owner;
+    if (is_space(raw_line[0])) {
+      if (!have_owner) return fail("no previous owner");
     } else {
-      auto parsed = parse_relative_name(tokens[cursor], origin);
-      if (!parsed) return fail(util::format("line %zu: bad owner name", line_number));
-      owner = *parsed;
-      ++cursor;
+      const std::string_view token = tokens[cursor++];
+      if (token != owner_token) {
+        auto parsed = parse_relative_name(token, origin);
+        if (!parsed) return fail("bad owner name");
+        owner = std::move(*parsed);
+        have_owner = true;
+        owner_token = token[0] == '"' ? std::string_view() : token;
+      }
     }
-    last_owner = owner;
 
     // [TTL] [class] type — TTL and class may appear in either order.
     uint32_t ttl = default_ttl;
@@ -273,21 +331,18 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         ++cursor;
       }
     }
-    if (cursor >= tokens.size())
-      return fail(util::format("line %zu: missing type", line_number));
-    RRType type = rrtype_from_string(tokens[cursor]);
+    if (cursor >= tokens.size()) return fail("missing type");
+    const std::string_view type_token = tokens[cursor++];
+    RRType type = rrtype_from_string(type_token);
     if (type == RRType::ANY)
-      return fail(util::format("line %zu: unsupported type '%s'", line_number,
-                               tokens[cursor].c_str()));
-    ++cursor;
-    std::vector<std::string> args(tokens.begin() + static_cast<long>(cursor),
-                                  tokens.end());
+      return fail(quoted("unsupported type", type_token));
+    const std::span<const std::string_view> args(tokens.data() + cursor,
+                                                 tokens.size() - cursor);
     auto need = [&](size_t count) { return args.size() >= count; };
     Rdata rdata;
     switch (type) {
       case RRType::SOA: {
-        if (!need(7)) return fail(util::format("line %zu: SOA needs 7 fields", line_number));
-        SoaData soa;
+        if (!need(7)) return fail("SOA needs 7 fields");
         auto mname = parse_relative_name(args[0], origin);
         auto rname = parse_relative_name(args[1], origin);
         auto serial = parse_u32(args[2]);
@@ -296,98 +351,86 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto expire = parse_u32(args[5]);
         auto minimum = parse_u32(args[6]);
         if (!mname || !rname || !serial || !refresh || !retry || !expire || !minimum)
-          return fail(util::format("line %zu: bad SOA", line_number));
-        soa.mname = *mname;
-        soa.rname = *rname;
-        soa.serial = *serial;
-        soa.refresh = *refresh;
-        soa.retry = *retry;
-        soa.expire = *expire;
-        soa.minimum = *minimum;
-        rdata = soa;
+          return fail("bad SOA");
+        rdata = SoaData{std::move(*mname), std::move(*rname), *serial, *refresh,
+                        *retry, *expire, *minimum};
+        if (!soa_owner) soa_owner = owner;
         break;
       }
       case RRType::NS: {
-        if (!need(1)) return fail(util::format("line %zu: NS needs a name", line_number));
+        if (!need(1)) return fail("NS needs a name");
         auto target = parse_relative_name(args[0], origin);
-        if (!target) return fail(util::format("line %zu: bad NS target", line_number));
-        rdata = NsData{*target};
+        if (!target) return fail("bad NS target");
+        rdata = NsData{std::move(*target)};
         break;
       }
       case RRType::CNAME: {
-        if (!need(1)) return fail(util::format("line %zu: CNAME needs a name", line_number));
+        if (!need(1)) return fail("CNAME needs a name");
         auto target = parse_relative_name(args[0], origin);
-        if (!target) return fail(util::format("line %zu: bad CNAME target", line_number));
-        rdata = CnameData{*target};
+        if (!target) return fail("bad CNAME target");
+        rdata = CnameData{std::move(*target)};
         break;
       }
       case RRType::A: {
-        if (!need(1)) return fail(util::format("line %zu: A needs an address", line_number));
+        if (!need(1)) return fail("A needs an address");
         auto addr = util::IpAddress::parse(args[0]);
-        if (!addr || !addr->is_v4())
-          return fail(util::format("line %zu: bad A address", line_number));
+        if (!addr || !addr->is_v4()) return fail("bad A address");
         rdata = AData{*addr};
         break;
       }
       case RRType::AAAA: {
-        if (!need(1)) return fail(util::format("line %zu: AAAA needs an address", line_number));
+        if (!need(1)) return fail("AAAA needs an address");
         auto addr = util::IpAddress::parse(args[0]);
-        if (!addr || !addr->is_v6())
-          return fail(util::format("line %zu: bad AAAA address", line_number));
+        if (!addr || !addr->is_v6()) return fail("bad AAAA address");
         rdata = AaaaData{*addr};
         break;
       }
       case RRType::TXT: {
         TxtData txt;
-        for (const auto& arg : args)
-          txt.strings.push_back(arg.empty() || arg[0] != '"' ? arg : arg.substr(1));
-        rdata = txt;
+        txt.strings.reserve(args.size());
+        for (std::string_view arg : args)
+          txt.strings.emplace_back(arg[0] == '"' ? arg.substr(1) : arg);
+        rdata = std::move(txt);
         break;
       }
       case RRType::MX: {
-        if (!need(2)) return fail(util::format("line %zu: MX needs 2 fields", line_number));
+        if (!need(2)) return fail("MX needs 2 fields");
         auto pref = parse_u32(args[0]);
         auto target = parse_relative_name(args[1], origin);
-        if (!pref || *pref > 0xFFFF || !target)
-          return fail(util::format("line %zu: bad MX", line_number));
-        rdata = MxData{static_cast<uint16_t>(*pref), *target};
+        if (!pref || *pref > 0xFFFF || !target) return fail("bad MX");
+        rdata = MxData{static_cast<uint16_t>(*pref), std::move(*target)};
         break;
       }
       case RRType::DS: {
-        if (!need(4)) return fail(util::format("line %zu: DS needs 4 fields", line_number));
+        if (!need(4)) return fail("DS needs 4 fields");
         auto tag = parse_u32(args[0]);
         auto alg = parse_u32(args[1]);
         auto dt = parse_u32(args[2]);
         auto digest = crypto::from_hex(args[3]);
         if (!tag || *tag > 0xFFFF || !alg || *alg > 255 || !dt || *dt > 255 || !digest)
-          return fail(util::format("line %zu: bad DS", line_number));
+          return fail("bad DS");
         rdata = DsData{static_cast<uint16_t>(*tag), static_cast<uint8_t>(*alg),
-                       static_cast<uint8_t>(*dt), *digest};
+                       static_cast<uint8_t>(*dt), std::move(*digest)};
         break;
       }
       case RRType::DNSKEY: {
-        if (!need(4)) return fail(util::format("line %zu: DNSKEY needs 4 fields", line_number));
+        if (!need(4)) return fail("DNSKEY needs 4 fields");
         auto flags = parse_u32(args[0]);
         auto proto = parse_u32(args[1]);
         auto alg = parse_u32(args[2]);
-        std::string b64;
-        for (size_t i = 3; i < args.size(); ++i) b64 += args[i];
-        auto key_bytes = crypto::from_base64(b64);
+        auto key_bytes = parse_base64_field(args.subspan(3), joined);
         if (!flags || *flags > 0xFFFF || !proto || *proto > 255 || !alg ||
             *alg > 255 || !key_bytes)
-          return fail(util::format("line %zu: bad DNSKEY", line_number));
-        DnskeyData key;
-        key.flags = static_cast<uint16_t>(*flags);
-        key.protocol = static_cast<uint8_t>(*proto);
-        key.algorithm = static_cast<uint8_t>(*alg);
-        key.public_key = *key_bytes;
-        rdata = key;
+          return fail("bad DNSKEY");
+        rdata = DnskeyData{static_cast<uint16_t>(*flags), static_cast<uint8_t>(*proto),
+                           static_cast<uint8_t>(*alg), std::move(*key_bytes)};
         break;
       }
       case RRType::RRSIG: {
-        if (!need(9)) return fail(util::format("line %zu: RRSIG needs 9 fields", line_number));
-        RrsigData sig;
-        sig.type_covered = rrtype_from_string(args[0]);
+        if (!need(9)) return fail("RRSIG needs 9 fields");
+        const RRType covered = rrtype_from_string(args[0]);
+        if (covered == RRType::ANY)
+          return fail(quoted("bad RRSIG type covered", args[0]));
         auto alg = parse_u32(args[1]);
         auto labels = parse_u32(args[2]);
         auto ottl = parse_u32(args[3]);
@@ -395,68 +438,56 @@ std::optional<Zone> Zone::parse_master_file(std::string_view text,
         auto inc = parse_u32(args[5]);
         auto tag = parse_u32(args[6]);
         auto signer = parse_relative_name(args[7], origin);
-        std::string b64;
-        for (size_t i = 8; i < args.size(); ++i) b64 += args[i];
-        auto sig_bytes = crypto::from_base64(b64);
-        if (!alg || !labels || !ottl || !exp || !inc || !tag || *tag > 0xFFFF ||
-            !signer || !sig_bytes)
-          return fail(util::format("line %zu: bad RRSIG", line_number));
-        sig.algorithm = static_cast<uint8_t>(*alg);
-        sig.labels = static_cast<uint8_t>(*labels);
-        sig.original_ttl = *ottl;
-        sig.expiration = *exp;
-        sig.inception = *inc;
-        sig.key_tag = static_cast<uint16_t>(*tag);
-        sig.signer = *signer;
-        sig.signature = *sig_bytes;
-        rdata = sig;
+        auto sig_bytes = parse_base64_field(args.subspan(8), joined);
+        if (!alg || *alg > 255 || !labels || *labels > 255 || !ottl || !exp || !inc ||
+            !tag || *tag > 0xFFFF || !signer || !sig_bytes)
+          return fail("bad RRSIG");
+        rdata = RrsigData{covered, static_cast<uint8_t>(*alg),
+                          static_cast<uint8_t>(*labels), *ottl, *exp, *inc,
+                          static_cast<uint16_t>(*tag), std::move(*signer),
+                          std::move(*sig_bytes)};
         break;
       }
       case RRType::NSEC: {
-        if (!need(1)) return fail(util::format("line %zu: NSEC needs a next name", line_number));
+        if (!need(1)) return fail("NSEC needs a next name");
         NsecData nsec;
         auto next = parse_relative_name(args[0], origin);
-        if (!next) return fail(util::format("line %zu: bad NSEC next", line_number));
-        nsec.next = *next;
-        for (size_t i = 1; i < args.size(); ++i) {
-          RRType t = rrtype_from_string(args[i]);
+        if (!next) return fail("bad NSEC next");
+        nsec.next = std::move(*next);
+        nsec.types.reserve(args.size() - 1);
+        for (std::string_view arg : args.subspan(1)) {
+          RRType t = rrtype_from_string(arg);
           if (t == RRType::ANY)
-            return fail(util::format("line %zu: bad NSEC type '%s'", line_number,
-                                     args[i].c_str()));
+            return fail(quoted("bad NSEC type", arg));
           nsec.types.push_back(t);
         }
-        rdata = nsec;
+        rdata = std::move(nsec);
         break;
       }
       case RRType::ZONEMD: {
-        if (!need(4)) return fail(util::format("line %zu: ZONEMD needs 4 fields", line_number));
+        if (!need(4)) return fail("ZONEMD needs 4 fields");
         auto serial = parse_u32(args[0]);
         auto scheme = parse_u32(args[1]);
         auto alg = parse_u32(args[2]);
         auto digest = crypto::from_hex(args[3]);
         if (!serial || !scheme || *scheme > 255 || !alg || *alg > 255 || !digest)
-          return fail(util::format("line %zu: bad ZONEMD", line_number));
+          return fail("bad ZONEMD");
         rdata = ZonemdData{*serial, static_cast<uint8_t>(*scheme),
-                           static_cast<uint8_t>(*alg), *digest};
+                           static_cast<uint8_t>(*alg), std::move(*digest)};
         break;
       }
       default:
-        return fail(util::format("line %zu: type %s not supported in zone files",
-                                 line_number, rrtype_to_string(type).c_str()));
+        return fail("type " + rrtype_to_string(type) + " not supported in zone files");
     }
-    records.push_back(ResourceRecord{owner, type, rclass, ttl, std::move(rdata)});
+    zone.add(ResourceRecord{owner, type, rclass, ttl, std::move(rdata)});
   }
 
   // The zone origin is the SOA owner.
-  Name zone_origin = origin;
-  for (const auto& rr : records)
-    if (rr.type == RRType::SOA) {
-      zone_origin = rr.name;
-      break;
-    }
-  Zone zone(zone_origin);
-  for (const auto& rr : records) zone.add(rr);
-  if (!zone.soa()) return fail("zone has no SOA");
+  zone.origin_ = soa_owner ? std::move(*soa_owner) : std::move(origin);
+  if (!zone.soa()) {
+    if (error) *error = "zone has no SOA";
+    return std::nullopt;
+  }
   return zone;
 }
 

@@ -43,8 +43,10 @@ class Zone {
   const Name& origin() const { return origin_; }
 
   /// Adds one record, merging into the existing RRset (TTL of the first
-  /// record wins, duplicate rdata is dropped — RFC 2181 §5).
-  void add(const ResourceRecord& rr);
+  /// record wins, duplicate rdata is dropped — RFC 2181 §5). Records that
+  /// arrive in canonical order (a master file, an AXFR stream) join the last
+  /// RRset or start one at the end in constant time; any order is accepted.
+  void add(ResourceRecord rr);
 
   /// Removes the RRset with this owner and type. Returns true if removed.
   bool remove_rrset(const Name& name, RRType type);
@@ -82,12 +84,13 @@ class Zone {
   static std::optional<Zone> from_axfr(const std::vector<ResourceRecord>& records,
                                        const Name& origin);
 
-  /// Master-file rendering (one canonical-order record per line).
+  /// Master-file rendering (one canonical-order record per line), written
+  /// into one buffer.
   std::string to_master_file() const;
 
   /// Master-file parsing. Supports $ORIGIN/$TTL, relative names, comments,
   /// and the record types in rdata.h. Returns nullopt with a diagnostic in
-  /// `error` (if non-null) on malformed input.
+  /// `error` (if non-null) on malformed input; errors in a line name it.
   static std::optional<Zone> parse_master_file(std::string_view text,
                                                std::string* error = nullptr);
 
@@ -97,11 +100,12 @@ class Zone {
   struct Key {
     Name name;
     RRType type;
-    bool operator<(const Key& other) const {
-      int c = name.canonical_compare(other.name);
-      if (c != 0) return c < 0;
-      return static_cast<uint16_t>(type) < static_cast<uint16_t>(other.type);
+    /// Canonical owner order, then type order: <0, 0, >0.
+    static int compare(const Name& name, RRType type, const Key& other) {
+      if (int c = name.canonical_compare(other.name); c != 0) return c;
+      return static_cast<int>(type) - static_cast<int>(other.type);
     }
+    bool operator<(const Key& other) const { return compare(name, type, other) < 0; }
     bool operator==(const Key& other) const {
       return name == other.name && type == other.type;
     }

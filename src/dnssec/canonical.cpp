@@ -7,23 +7,6 @@
 
 namespace rootsim::dnssec {
 
-std::vector<uint8_t> canonical_rdata(const dns::Rdata& rdata) {
-  return dns::encode_rdata(rdata, /*canonical=*/true);
-}
-
-std::vector<dns::Rdata> sort_rdatas_canonically(
-    const std::vector<dns::Rdata>& rdatas) {
-  std::vector<std::pair<std::vector<uint8_t>, const dns::Rdata*>> keyed;
-  keyed.reserve(rdatas.size());
-  for (const auto& rdata : rdatas) keyed.emplace_back(canonical_rdata(rdata), &rdata);
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<dns::Rdata> out;
-  out.reserve(rdatas.size());
-  for (const auto& [key, ptr] : keyed) out.push_back(*ptr);
-  return out;
-}
-
 void CanonicalEncoder::add_rdata(const dns::Rdata& rdata) {
   const size_t start = rdata_.size();
   dns::encode_rdata(rdata_, rdata, /*canonical=*/true);

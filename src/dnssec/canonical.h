@@ -17,14 +17,6 @@
 
 namespace rootsim::dnssec {
 
-/// Canonical RDATA encoding of one record (lower-cased embedded names, no
-/// compression).
-std::vector<uint8_t> canonical_rdata(const dns::Rdata& rdata);
-
-/// Sorts an RRset's rdatas by canonical RDATA byte order (RFC 4034 §6.3) and
-/// returns the sorted copies.
-std::vector<dns::Rdata> sort_rdatas_canonically(const std::vector<dns::Rdata>& rdatas);
-
 /// Encodes RRsets in canonical form in one pass: each RDATA is encoded once
 /// into a reused scratch buffer and the canonical sort permutes spans of
 /// that buffer, so neither the Rdata values nor their encodings are copied.

@@ -255,7 +255,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     rr.type = dns::RRType::DNSKEY;
     rr.ttl = 172800;
     rr.rdata = key.to_dnskey();
-    zone.add(rr);
+    zone.add(std::move(rr));
   }
   for (const auto& dnskey : policy.extra_dnskeys) {
     dns::ResourceRecord rr;
@@ -263,7 +263,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     rr.type = dns::RRType::DNSKEY;
     rr.ttl = 172800;
     rr.rdata = dnskey;
-    zone.add(rr);
+    zone.add(std::move(rr));
   }
 
   // Install the ZONEMD placeholder (RFC 8976 §3.3.1: digest field must be
@@ -281,7 +281,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     rr.type = dns::RRType::ZONEMD;
     rr.ttl = 86400;
     rr.rdata = zonemd;
-    zone.add(rr);
+    zone.add(std::move(rr));
   }
 
   // Build the NSEC chain over authoritative names (delegation points appear
@@ -305,7 +305,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
       rr.type = dns::RRType::NSEC;
       rr.ttl = soa_minimum;
       rr.rdata = nsec;
-      zone.add(rr);
+      zone.add(std::move(rr));
     }
   }
 
@@ -331,7 +331,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     rr.type = dns::RRType::RRSIG;
     rr.ttl = set->ttl;
     rr.rdata = sig;
-    zone.add(rr);
+    zone.add(std::move(rr));
   }
 
   // RFC 8976 §4.1: with the zone now signed, compute the digest (the apex
@@ -350,7 +350,7 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
     zonemd_rr.type = dns::RRType::ZONEMD;
     zonemd_rr.ttl = 86400;
     zonemd_rr.rdata = zonemd;
-    zone.add(zonemd_rr);
+    zone.add(std::move(zonemd_rr));
 
     const dns::RRset* apex_sigs = zone.find(apex, dns::RRType::RRSIG);
     if (apex_sigs) {
@@ -362,9 +362,9 @@ void sign_zone(dns::Zone& zone, const SigningKey& ksk, const SigningKey& zsk,
         kept.push_back(rdata);
       }
       zone.remove_rrset(apex, dns::RRType::RRSIG);
-      for (const auto& rdata : kept)
+      for (auto& rdata : kept)
         zone.add(dns::ResourceRecord{apex, dns::RRType::RRSIG, dns::RRClass::IN,
-                                     sig_ttl, rdata});
+                                     sig_ttl, std::move(rdata)});
       const dns::RRset* zonemd_set = zone.find(apex, dns::RRType::ZONEMD);
       dns::RrsigData sig = sign_rrset(*zonemd_set, zsk_signer, policy, apex, cache,
                                        stats, encoder);

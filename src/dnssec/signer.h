@@ -57,9 +57,8 @@ struct SignStats {
   uint64_t resets = 0;  ///< wholesale clears this call's misses triggered
 };
 
-/// Entry bound of both memos: the signing side's SignatureCache (through
-/// rss::ZoneAuthorityConfig::signature_cache_entries) and the verifying
-/// side's VerifyMemo. It sits above the largest audit: the full 400-sample
+/// Entry bound of both memos: the signing side's SignatureCache (one per
+/// rss::ZoneAuthority) and the verifying side's VerifyMemo. It sits above the largest audit: the full 400-sample
 /// Table 2 audit signs about 75k distinct payloads and verifies about 75k
 /// distinct signatures, so neither memo resets there and both hit/miss
 /// splits are the same at every worker count.

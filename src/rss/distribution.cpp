@@ -44,24 +44,4 @@ PublishedZoneFile DistributionChannel::fetch(util::UnixTime t) const {
   return file;
 }
 
-std::vector<PublishedZoneFile> DistributionChannel::fetch_window(
-    util::UnixTime start, util::UnixTime end, size_t max_files) const {
-  std::vector<PublishedZoneFile> files;
-  int64_t step = source_ == DistributionSource::Czds ? util::kSecondsPerDay
-                                                     : config_.iana_interval_s;
-  uint32_t last_serial = 0;
-  bool first = true;
-  for (util::UnixTime t = start; t < end && files.size() < max_files; t += step) {
-    PublishedZoneFile file = fetch(t);
-    // Skip duplicate snapshots (the IANA cadence outpaces zone edits).
-    if (!first && file.serial == last_serial &&
-        source_ == DistributionSource::Czds)
-      continue;
-    first = false;
-    last_serial = file.serial;
-    files.push_back(std::move(file));
-  }
-  return files;
-}
-
 }  // namespace rootsim::rss

@@ -55,11 +55,6 @@ class DistributionChannel {
   /// The file available for download at time `t`.
   PublishedZoneFile fetch(util::UnixTime t) const;
 
-  /// All files published in [start, end) at the channel's cadence.
-  std::vector<PublishedZoneFile> fetch_window(util::UnixTime start,
-                                              util::UnixTime end,
-                                              size_t max_files = 100000) const;
-
   DistributionSource source() const { return source_; }
 
  private:

@@ -47,9 +47,6 @@ ZoneAuthority::ZoneAuthority(const RootCatalog& catalog, ZoneAuthorityConfig con
     sig_cache_resets_ = obs.counter_handle("rss.sig_cache.resets");
     zone_serial_ = &obs.metrics->gauge("rss.zone_serial");
   }
-  if (config_.signature_cache_entries > 0)
-    signature_cache_ = std::make_unique<dnssec::SignatureCache>(
-        config_.signature_cache_entries);
   util::Rng rng(config_.seed);
   util::Rng tld_rng = rng.fork("tlds");
   tlds_ = make_tlds(config_.tld_count, tld_rng);
@@ -177,7 +174,7 @@ dns::Zone ZoneAuthority::build_signed_zone(util::UnixTime t,
       policy.extra_dnskeys.push_back(ksk_next_.to_dnskey());
     }
   }
-  dnssec::sign_zone(zone, *active_ksk, zsk_, policy, signature_cache_.get(),
+  dnssec::sign_zone(zone, *active_ksk, zsk_, policy, &signature_cache_,
                     stats);
   return zone;
 }

@@ -51,13 +51,6 @@ struct ZoneAuthorityConfig {
   util::UnixTime ksk_roll_at = 0;
   /// RRSIG validity window length (the root uses ~2 weeks).
   int64_t rrsig_validity_days = 14;
-  /// Signature memo bound (entries). At the bound the memo clears wholesale
-  /// and counts `rss.sig_cache.resets`; past a reset the hit/miss split
-  /// depends on the schedule. The default, dnssec::kMemoEntries, sits above
-  /// the full 400-sample Table 2 audit (229 serials, about 75k distinct
-  /// payloads) and the perfbench `table2-audit` workload (about 18k), so
-  /// both run with 0 resets. 0 disables the cache entirely.
-  size_t signature_cache_entries = dnssec::kMemoEntries;
 };
 
 /// Builds signed root zones for any instant of the campaign.
@@ -90,11 +83,9 @@ class ZoneAuthority {
   const ZoneAuthorityConfig& config() const { return config_; }
   const std::vector<std::string>& tlds() const { return tlds_; }
 
-  /// The cross-serial signature memo (null when disabled by config).
+  /// The cross-serial signature memo, bounded at dnssec::kMemoEntries.
   /// Counters `rss.sig_cache.hits` / `.misses` / `.resets` mirror it.
-  const dnssec::SignatureCache* signature_cache() const {
-    return signature_cache_.get();
-  }
+  const dnssec::SignatureCache& signature_cache() const { return signature_cache_; }
 
   /// The ZONEMD mode in force at `t` (None / PrivateAlgorithm / Sha384).
   dnssec::SigningPolicy::ZonemdMode zonemd_mode_at(util::UnixTime t) const;
@@ -129,7 +120,7 @@ class ZoneAuthority {
   obs::Counter* sig_cache_misses_ = nullptr;
   obs::Counter* sig_cache_resets_ = nullptr;
   obs::Gauge* zone_serial_ = nullptr;
-  std::unique_ptr<dnssec::SignatureCache> signature_cache_;
+  mutable dnssec::SignatureCache signature_cache_;
   // The lock guards only finding or creating a cell; builds run outside it.
   // std::map nodes are stable, so returned references stay valid, and
   // `rss.zones_built` counts exactly one build per serial at any worker

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "util/rng.h"
+#include "util/strings.h"
+
 namespace rootsim::dns {
 namespace {
 
@@ -164,6 +169,100 @@ TEST(Zone, ParseMasterFileErrors) {
   // No SOA at all.
   EXPECT_FALSE(Zone::parse_master_file(". IN NS a.example.\n", &error).has_value());
   EXPECT_EQ(error, "zone has no SOA");
+}
+
+// Input the parser once coerced is rejected, and the error names the line.
+TEST(Zone, ParseMasterFileRejectsCoercedFieldsWithLocatedErrors) {
+  const std::string soa = ". 86400 IN SOA a. b. 1 2 3 4 5\n";
+  auto error_for = [&](const std::string& line) {
+    std::string error;
+    EXPECT_FALSE(Zone::parse_master_file(soa + line, &error).has_value()) << line;
+    return error;
+  };
+  const std::string sig = " 1700000000 1690000000 4711 . AAECAw==\n";
+  EXPECT_EQ(error_for(". 86400 IN RRSIG NS 256 0 518400" + sig), "line 2: bad RRSIG");
+  EXPECT_EQ(error_for(". 86400 IN RRSIG NS 8 256 518400" + sig), "line 2: bad RRSIG");
+  EXPECT_EQ(error_for(". 86400 IN RRSIG BOGUS 8 0 518400" + sig),
+            "line 2: bad RRSIG type covered 'BOGUS'");
+  // The same fields in range parse.
+  std::string error;
+  auto zone = Zone::parse_master_file(soa + ". 86400 IN RRSIG ns 255 255 518400" + sig,
+                                      &error);
+  ASSERT_TRUE(zone.has_value()) << error;
+  const auto& rrsig =
+      std::get<RrsigData>(zone->find(Name(), RRType::RRSIG)->rdatas.front());
+  EXPECT_EQ(rrsig.type_covered, RRType::NS);
+  EXPECT_EQ(rrsig.algorithm, 255);
+  EXPECT_EQ(rrsig.labels, 255);
+
+  EXPECT_EQ(error_for("\n$ORIGIN\n"), "line 3: $ORIGIN missing argument");
+  EXPECT_EQ(error_for("$ORIGIN a..b.\n"), "line 2: $ORIGIN bad name");
+  EXPECT_EQ(error_for("$TTL\n"), "line 2: $TTL missing argument");
+  EXPECT_EQ(error_for("$TTL 1h\n"), "line 2: $TTL bad value");
+  EXPECT_EQ(error_for("$TTL 4294967296\n"), "line 2: $TTL bad value");
+  EXPECT_EQ(error_for(". 86400 IN TXT \"open\n"), "line 2: unterminated string");
+}
+
+TEST(Zone, ParseMasterFileDropsDuplicatesAndKeepsTheFirstTtl) {
+  std::string error;
+  auto zone = Zone::parse_master_file(
+      ". 86400 IN SOA a. b. 1 2 3 4 5\n"
+      "com. 172800 IN NS a.gtld-servers.net.\n"
+      "com. 60 IN NS b.gtld-servers.net.\n"
+      "com. 300 IN NS A.GTLD-SERVERS.NET.\n"  // names compare case-insensitively
+      "com. 172800 IN NS b.gtld-servers.net.\n",
+      &error);
+  ASSERT_TRUE(zone.has_value()) << error;
+  const RRset* ns = zone->find(*Name::parse("com."), RRType::NS);
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->ttl, 172800u);
+  EXPECT_EQ(ns->rdatas.size(), 2u);
+  EXPECT_EQ(zone->record_count(), 3u);
+}
+
+// The printer writes canonical order, which the parser inserts with an end
+// hint; any other order takes the ordinary insert and must give the same
+// zone.
+TEST(Zone, ShuffledMasterFileParsesToTheSameZone) {
+  Zone zone = make_mini_root();
+  zone.add({*Name::parse("com."), RRType::DS, RRClass::IN, 86400,
+            DsData{4711, 8, 2, std::vector<uint8_t>(32, 0xab)}});
+  zone.add({*Name::parse("com."), RRType::TXT, RRClass::IN, 300,
+            TxtData{{"quoted \"text\"", "", "back\\slash"}}});
+  const std::string text = zone.to_master_file();
+  std::vector<std::string> lines = util::split(text, '\n');
+  ASSERT_GT(lines.size(), 2u);
+  const std::string directive = lines.front();  // $ORIGIN stays first
+  lines.erase(lines.begin());
+  util::Rng rng(16);
+  for (int round = 0; round < 20; ++round) {
+    rng.shuffle(lines);
+    std::string shuffled = directive + "\n";
+    for (const auto& line : lines) shuffled += line + "\n";
+    std::string error;
+    auto parsed = Zone::parse_master_file(shuffled, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(*parsed, zone) << round;  // rdata order within an RRset aside
+  }
+}
+
+// Owner reuse: a repeated owner token reuses the parsed name, but only while
+// the origin it was resolved against stays the same.
+TEST(Zone, RepeatedRelativeOwnerFollowsOriginChanges) {
+  std::string error;
+  auto zone = Zone::parse_master_file(
+      "$ORIGIN example.\n"
+      "@ IN SOA ns1 hostmaster 42 1800 900 604800 86400\n"
+      "www IN A 192.0.2.1\n"
+      "$ORIGIN other.example.\n"
+      "www IN A 192.0.2.2\n"
+      "    IN A 192.0.2.3\n",
+      &error);
+  ASSERT_TRUE(zone.has_value()) << error;
+  ASSERT_NE(zone->find(*Name::parse("www.example."), RRType::A), nullptr);
+  const RRset* other = zone->find(*Name::parse("www.other.example."), RRType::A);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other->rdatas.size(), 2u);
 }
 
 }  // namespace

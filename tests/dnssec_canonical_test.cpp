@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "canonical_reference.h"
 #include "dns/wire.h"
 #include "util/rng.h"
 
@@ -11,6 +12,24 @@ namespace rootsim::dnssec {
 namespace {
 
 using dns::Name;
+using reference::canonical_rdata;
+using reference::sort_rdatas_canonically;
+
+// The RDATA fields of the A records CanonicalEncoder writes for the root
+// owner: each RR is owner(1) type(2) class(2) ttl(4) rdlength(2) rdata(4).
+std::vector<uint32_t> encoded_addresses(const std::vector<dns::Rdata>& rdatas) {
+  CanonicalEncoder encoder;
+  for (const auto& rdata : rdatas) encoder.add_rdata(rdata);
+  dns::WireWriter out;
+  encoder.flush_records(out, Name(), dns::RRType::A, dns::RRClass::IN, 60);
+  const auto bytes = out.data();
+  EXPECT_EQ(bytes.size(), rdatas.size() * 15);
+  std::vector<uint32_t> addresses;
+  for (size_t at = 11; at + 4 <= bytes.size(); at += 15)
+    addresses.push_back(uint32_t{bytes[at]} << 24 | uint32_t{bytes[at + 1]} << 16 |
+                        uint32_t{bytes[at + 2]} << 8 | bytes[at + 3]);
+  return addresses;
+}
 
 TEST(Canonical, RdataEncodingIsDeterministic) {
   dns::RrsigData sig;
@@ -32,17 +51,20 @@ TEST(Canonical, SortIsStableAndIdempotent) {
   std::vector<dns::Rdata> rdatas;
   for (int i = 0; i < 30; ++i)
     rdatas.push_back(dns::AData{util::IpAddress::v4(
-        static_cast<uint32_t>(rng.next()))});
-  auto once = sort_rdatas_canonically(rdatas);
-  auto twice = sort_rdatas_canonically(once);
-  EXPECT_EQ(once, twice);
-  // Sorted by canonical byte order.
-  for (size_t i = 1; i < once.size(); ++i)
-    EXPECT_LE(canonical_rdata(once[i - 1]), canonical_rdata(once[i]));
+        static_cast<uint32_t>(rng.uniform(8)) << 24 | static_cast<uint32_t>(i))});
+  rdatas.push_back(rdatas[4]);  // a duplicate sorts next to its twin
+  const auto once = encoded_addresses(rdatas);
+  ASSERT_EQ(once.size(), rdatas.size());
+  // Sorted by canonical byte order, which for A records is address order.
+  EXPECT_TRUE(std::is_sorted(once.begin(), once.end()));
+  // Idempotent: feeding the output order back in changes nothing.
+  std::vector<dns::Rdata> sorted;
+  for (uint32_t address : once) sorted.push_back(dns::AData{util::IpAddress::v4(address)});
+  EXPECT_EQ(encoded_addresses(sorted), once);
   // Permutation-invariant.
   auto shuffled = rdatas;
   rng.shuffle(shuffled);
-  EXPECT_EQ(sort_rdatas_canonically(shuffled), once);
+  EXPECT_EQ(encoded_addresses(shuffled), once);
 }
 
 TEST(Canonical, SigningPayloadLayout) {

